@@ -231,9 +231,10 @@ fn main() {
         let _ = write!(row, "\"comparison_ratio\":{ratio:.2},");
         let _ = write!(
             row,
-            "\"phases\":{{\"init_us\":{},\"plan_us\":{},\"join_us\":{},\"dedup_us\":{},\"merge_us\":{}}}}}",
+            "\"phases\":{{\"init_us\":{},\"plan_us\":{},\"shard_us\":{},\"join_us\":{},\"dedup_us\":{},\"merge_us\":{}}}}}",
             phase_us("datalog.init"),
             phase_us("datalog.plan"),
+            phase_us("datalog.shard"),
             phase_us("datalog.join"),
             phase_us("datalog.dedup"),
             phase_us("datalog.merge")

@@ -29,7 +29,7 @@ use fmt_core::queries::magic::{self, Goal, MagicError};
 use fmt_core::structures::budget::{Budget, Exhausted};
 use fmt_core::structures::{parse as sparse, Diagnostic, Severity, Signature, Structure};
 use fmt_core::zeroone;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -55,6 +55,19 @@ enum CliFailure {
 impl From<String> for CliFailure {
     fn from(msg: String) -> CliFailure {
         CliFailure::Error(msg)
+    }
+}
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// early (`fmtk … | head -1`) wanted no more output, so `BrokenPipe` is
+/// not an error; any other write failure is (exit code 1).
+fn print_stdout(text: &str) -> Result<(), CliFailure> {
+    let mut out = std::io::stdout().lock();
+    match writeln!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliFailure::Error(format!("writing output: {e}")))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -928,7 +941,7 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult {
     if n_err > 0 {
         // Keep the report (including JSON) on stdout; only the verdict
         // goes to stderr with the failing exit code.
-        println!("{out}");
+        print_stdout(&out)?;
         return Err(CliFailure::Error(format!(
             "lint failed with {n_err} error(s)"
         )));
@@ -1161,11 +1174,8 @@ fn run() -> CliResult {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
+    match run().and_then(|out| print_stdout(&out)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(CliFailure::Error(e)) => {
             eprintln!("fmtk: {e}");
             ExitCode::from(1)

@@ -300,6 +300,39 @@ fn stdin_structure() {
 }
 
 #[test]
+fn closed_stdout_pipe_exits_quietly() {
+    // `fmtk datalog … | head -1`: tc of a 400-node path prints ~1 MB,
+    // far more than a pipe buffers, so the writes after the reader
+    // hangs up hit a broken pipe. That ends the run with exit 0, not a
+    // panic.
+    let mut st = String::from("size: 400\n");
+    for i in 0..399 {
+        st.push_str(&format!("E({i},{})\n", i + 1));
+    }
+    let s = write_temp("pipe_p400.st", &st);
+    let p = write_temp(
+        "pipe_tc.dl",
+        "tc(x,y) :- e(x,y).\ntc(x,z) :- e(x,y), tc(y,z).\n",
+    );
+    let mut child = fmtk()
+        .args(["datalog", s.to_str().unwrap(), p.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    {
+        let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+        std::io::BufRead::read_line(&mut reader, &mut first).unwrap();
+    } // drops the read end
+    assert_eq!(first.trim(), "tc/2: 79800 tuples");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
 fn errors_are_reported() {
     // Unknown command.
     let out = fmtk().args(["frobnicate"]).output().unwrap();

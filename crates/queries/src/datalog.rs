@@ -28,22 +28,25 @@
 //!
 //! Evaluation engine (see `docs/join-engine.md` and `docs/storage.md`):
 //! rule bodies are joined in a greedy order (most-bound,
-//! smallest-extent atom first) and bound-position lookups probe hash or
-//! sorted-prefix indexes from [`fmt_structures::index`] instead of
-//! rescanning extents; semi-naive rounds fan the per-rule delta
-//! applications out across scoped worker threads with hash-sharded
-//! deltas. IDB extents live in columnar [`TupleStore`] arenas: the
-//! kernel walks `u32` row ids and per-column slices, deltas are row-id
-//! ranges of the growing stores, and the steady-state join loop
-//! performs no per-derived-tuple heap allocation. The original
-//! written-order nested-loop evaluator survives as
+//! smallest-extent atom first) and bound-position lookups probe hash
+//! indexes from [`fmt_structures::index`] instead of rescanning
+//! extents; semi-naive rounds fan the per-rule delta applications out
+//! across scoped worker threads with hash-sharded deltas. IDB extents
+//! live in columnar [`TupleStore`] arenas, and each EDB relation is
+//! loaded into one per evaluation: the kernel walks `u32` row ids and
+//! per-column slices, deltas are row-id ranges of the growing stores,
+//! and the steady-state join loop performs no per-derived-tuple heap
+//! allocation. The one planner (`plan_rule`) and the one kernel
+//! (`ExecCtx`) serve the naive and semi-naive engines here, the
+//! incremental runtime, and the magic-sets rewriter's SIP order. The
+//! original written-order nested-loop evaluator survives as
 //! [`Program::eval_seminaive_scan`] — the baseline the `datalog` bench
 //! and the `queries.index.*` counters are compared against, still on
 //! the old `HashSet<Vec<Elem>>` representation as a differential
 //! oracle.
 
 use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
-use fmt_structures::index::{self, ColumnIndex, TupleIndex};
+use fmt_structures::index::{self, ColumnIndex};
 use fmt_structures::par::fan_out;
 use fmt_structures::store::{self, TupleStore};
 use fmt_structures::{Elem, Interner, RelId, Signature, Span, Structure};
@@ -737,9 +740,8 @@ impl Program {
         let strata = self.eval_strata()?;
         let mut eval_span =
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
-        let k = self.idb_names.len();
+        let mut edb = load_edb(s);
         let mut store = self.new_store();
-        let mut edb = EdbCache::default();
         let mut iterations = 0;
         let mut derivations = 0u64;
         let mut delta_history = Vec::new();
@@ -748,55 +750,21 @@ impl Program {
                 iterations += 1;
                 OBS_NAIVE_ROUNDS.incr();
                 let mut round_span = fmt_obs::trace_span!("datalog.round", round = iterations);
-                // Candidate new tuples, staged per IDB in flat buffers (the
-                // counts carry nullary facts, whose rows occupy no bytes).
-                let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                let mut counts: Vec<usize> = vec![0; k];
+                // Candidate new tuples: only those not yet in the store.
+                let mut staged = Staged::new(self.idb_names.len());
                 for &ri in rules_in {
                     let rule = &self.rules[ri];
                     let mut rule_span =
                         fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations);
-                    let plan = plan_rule(rule, None, s, &store);
-                    ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
-                    let ctx = ExecCtx {
-                        s,
-                        rule,
-                        plan: &plan,
-                        edb: &edb,
-                        store: &store,
-                        driver: &[],
-                        head_idb: head_idb(rule),
-                        probes: Cell::new(0),
-                        probe_allocs: Cell::new(0),
-                    };
-                    let mut binding = vec![None; rule_num_vars(rule)];
-                    let mut rule_derived = 0u64;
-                    let store_ref = &store;
-                    exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
-                        rule_derived += 1;
-                        if !store_ref[idb].store.contains(t) {
-                            bufs[idb].extend_from_slice(t);
-                            counts[idb] += 1;
-                        }
-                    })?;
+                    let plan = plan_rule(rule, None, &[], &|a| extent(&edb, &store, a.pred).len());
+                    ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
+                    let ctx = ExecCtx::new(rule, &plan, &edb, &store, &[], s.size(), AT);
+                    let known = &store[head_idb(rule)].store;
+                    let rule_derived = ctx.stage(budget, &mut staged, |t| !known.contains(t))?;
                     derivations += rule_derived;
-                    rule_span.record_field("probes", ctx.probes.get());
-                    rule_span.record_field("derived", rule_derived);
-                    rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
+                    ctx.record(&mut rule_span, rule_derived);
                 }
-                let mut added = 0u64;
-                for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                    let a = self.idb_arity[j];
-                    for i in 0..cnt {
-                        if store[j]
-                            .store
-                            .push_if_new(&buf[i * a..(i + 1) * a])
-                            .is_some()
-                        {
-                            added += 1;
-                        }
-                    }
-                }
+                let added = staged.drain_into(&mut store, |_, _| {});
                 for r in store.iter_mut() {
                     r.extend_indexes();
                 }
@@ -866,8 +834,8 @@ impl Program {
             rules = self.rules.len(),
             threads = threads
         );
+        let mut edb = load_edb(s);
         let mut store = self.new_store();
-        let mut edb = EdbCache::default();
         let mut derivations = 0u64;
         let mut delta_history: Vec<u64> = Vec::new();
         let mut iterations = 0usize;
@@ -888,58 +856,27 @@ impl Program {
             // extents of the completed lower strata (and the empty
             // extents of its own heads; on a negation-free program this
             // is exactly the old all-rules-on-empty-IDB pass). Cheap —
-            // run inline. Emissions are staged in flat per-IDB buffers
-            // (counts carry nullary facts) and deduplicated by the
-            // stores on merge.
+            // run inline.
             let init_span = fmt_obs::trace_span!("datalog.init");
             let len_pre: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
-            let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-            let mut counts: Vec<usize> = vec![0; k];
+            let mut staged = Staged::new(k);
             for &ri in rules_in {
                 let rule = &self.rules[ri];
                 let mut rule_span =
                     fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations + 1);
-                let plan = plan_rule(rule, None, s, &store);
-                ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
-                let ctx = ExecCtx {
-                    s,
-                    rule,
-                    plan: &plan,
-                    edb: &edb,
-                    store: &store,
-                    driver: &[],
-                    head_idb: head_idb(rule),
-                    probes: Cell::new(0),
-                    probe_allocs: Cell::new(0),
-                };
-                let mut binding = vec![None; rule_num_vars(rule)];
-                let mut rule_derived = 0u64;
-                let staged0: usize = bufs.iter().map(Vec::len).sum();
-                exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
-                    rule_derived += 1;
-                    bufs[idb].extend_from_slice(t);
-                    counts[idb] += 1;
-                })?;
+                let plan = plan_rule(rule, None, &[], &|a| extent(&edb, &store, a.pred).len());
+                ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
+                let ctx = ExecCtx::new(rule, &plan, &edb, &store, &[], s.size(), AT);
+                let staged0 = staged.elems();
+                let rule_derived = ctx.stage(budget, &mut staged, |_| true)?;
                 derivations += rule_derived;
-                let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
-                rule_span.record_field("probes", ctx.probes.get());
-                rule_span.record_field("derived", rule_derived);
-                rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
-                rule_span.record_field("arena_bytes", (staged * ELEM_BYTES) as u64);
+                ctx.record(&mut rule_span, rule_derived);
+                rule_span.record_field(
+                    "arena_bytes",
+                    ((staged.elems() - staged0) * ELEM_BYTES) as u64,
+                );
             }
-            let mut initial_facts = 0u64;
-            for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                let a = self.idb_arity[j];
-                for i in 0..cnt {
-                    if store[j]
-                        .store
-                        .push_if_new(&buf[i * a..(i + 1) * a])
-                        .is_some()
-                    {
-                        initial_facts += 1;
-                    }
-                }
-            }
+            let initial_facts = staged.drain_into(&mut store, |_, _| {});
             for r in store.iter_mut() {
                 r.extend_indexes();
             }
@@ -963,7 +900,7 @@ impl Program {
                 // One job per (rule, positive IDB body position) with a
                 // nonempty delta; plan on first sight, then build every
                 // index the plan needs so the fan-out below can share
-                // the caches immutably. Negated atoms never drive a
+                // the stores immutably. Negated atoms never drive a
                 // delta — their extents are frozen lower strata.
                 let plan_span = fmt_obs::trace_span!("datalog.plan");
                 let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
@@ -981,8 +918,10 @@ impl Program {
                             let pi = match plan_of.get(&(ri, pos)) {
                                 Some(&pi) => pi,
                                 None => {
-                                    let plan = plan_rule(rule, Some(pos), s, &store);
-                                    ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
+                                    let plan = plan_rule(rule, Some(pos), &[], &|a| {
+                                        extent(&edb, &store, a.pred).len()
+                                    });
+                                    ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
                                     plans.push(plan);
                                     plan_of.insert((ri, pos), plans.len() - 1);
                                     plans.len() - 1
@@ -993,10 +932,12 @@ impl Program {
                     }
                 }
                 OBS_PAR_JOBS.add(jobs.len() as u64);
+                drop(plan_span);
 
                 // Hash-shard each job's delta row ids; small rounds stay
                 // unsharded. Row hashes come from the store's arenas — the
                 // same FNV fold the old per-tuple sharding used.
+                let shard_span = fmt_obs::trace_span!("datalog.shard");
                 let nshards = if threads == 1 || total_delta < 512 {
                     1
                 } else {
@@ -1028,7 +969,7 @@ impl Program {
                             .map(|sh| (ji, sh)),
                     );
                 }
-                drop(plan_span);
+                drop(shard_span);
 
                 // Fan out; each worker stages derived tuples in flat
                 // per-IDB buffers — no per-tuple allocation anywhere in
@@ -1039,12 +980,10 @@ impl Program {
                 // any thread count. Worker rule spans attach under this
                 // round's join span through fan_out's parent propagation.
                 let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
-                let store_ref = &store;
-                let plans_ref = &plans;
+                let (edb_ref, store_ref, plans_ref) = (&edb, &store, &plans);
                 let results = fan_out(threads, &items, |chunk| -> BudgetResult<_> {
                     let mut derivs = 0u64;
-                    let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                    let mut counts: Vec<usize> = vec![0; k];
+                    let mut staged = Staged::new(k);
                     for (ji, shard) in chunk {
                         let (ri, pos, pi) = jobs[*ji];
                         let rule = &self.rules[ri];
@@ -1055,57 +994,37 @@ impl Program {
                             round = iterations,
                             tuples = shard.len()
                         );
-                        let ctx = ExecCtx {
-                            s,
+                        let ctx = ExecCtx::new(
                             rule,
-                            plan: &plans_ref[pi],
-                            edb: &edb,
-                            store: store_ref,
-                            driver: shard,
-                            head_idb: head_idb(rule),
-                            probes: Cell::new(0),
-                            probe_allocs: Cell::new(0),
-                        };
-                        let mut binding = vec![None; rule_num_vars(rule)];
-                        let mut rule_derived = 0u64;
-                        let staged0: usize = bufs.iter().map(Vec::len).sum();
-                        exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
-                            rule_derived += 1;
-                            bufs[idb].extend_from_slice(t);
-                            counts[idb] += 1;
-                        })?;
+                            &plans_ref[pi],
+                            edb_ref,
+                            store_ref,
+                            shard,
+                            s.size(),
+                            AT,
+                        );
+                        let staged0 = staged.elems();
+                        let rule_derived = ctx.stage(budget, &mut staged, |_| true)?;
                         derivs += rule_derived;
-                        let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
-                        rule_span.record_field("probes", ctx.probes.get());
-                        rule_span.record_field("derived", rule_derived);
-                        rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
-                        rule_span.record_field("arena_bytes", (staged * ELEM_BYTES) as u64);
+                        ctx.record(&mut rule_span, rule_derived);
+                        rule_span.record_field(
+                            "arena_bytes",
+                            ((staged.elems() - staged0) * ELEM_BYTES) as u64,
+                        );
                     }
-                    Ok((derivs, bufs, counts))
+                    Ok((derivs, staged))
                 });
                 drop(join_span);
 
                 // Dedup: drain worker buffers in item order straight into
-                // the stores — push_if_new is the hash-set insert and the
-                // arena append in one step.
+                // the stores.
                 let dedup_span = fmt_obs::trace_span!("datalog.dedup");
                 let len_before: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
                 let mut new_facts = 0u64;
                 for chunk_result in results {
-                    let (derivs, bufs, counts) = chunk_result?;
+                    let (derivs, staged) = chunk_result?;
                     derivations += derivs;
-                    for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                        let a = self.idb_arity[j];
-                        for i in 0..cnt {
-                            if store[j]
-                                .store
-                                .push_if_new(&buf[i * a..(i + 1) * a])
-                                .is_some()
-                            {
-                                new_facts += 1;
-                            }
-                        }
-                    }
+                    new_facts += staged.drain_into(&mut store, |_, _| {});
                 }
                 drop(dedup_span);
                 // Merge: indexes catch up to the appended rows, and the
@@ -1422,14 +1341,17 @@ impl Program {
 }
 
 // ---------------------------------------------------------------------
-// Indexed join engine: IDB store, plans, and the execution kernel
+// Join engine: columnar extents, the rule planner, and the kernel
 // ---------------------------------------------------------------------
 
-/// The mutable extent of one IDB predicate during a fixpoint run: a
-/// columnar [`TupleStore`] (arenas + row-id dedup in one) plus
+/// The extent of one predicate during a fixpoint run: a columnar
+/// [`TupleStore`] (arenas + row-id dedup in one) plus
 /// incrementally-maintained [`ColumnIndex`]es keyed by bound-position
-/// subsets. The handful of indexes per predicate live in a `Vec` —
-/// a linear key scan beats hashing a `Vec<usize>` per probe.
+/// subsets. IDB extents grow in these stores; EDB relations are loaded
+/// into the same shape once per evaluation ([`load_edb`]), so the
+/// kernel joins both through one path. The handful of indexes per
+/// predicate live in a `Vec` — a linear key scan beats hashing a
+/// `Vec<usize>` per probe.
 #[derive(Debug)]
 pub(crate) struct IdbStore {
     pub(crate) store: TupleStore,
@@ -1438,23 +1360,31 @@ pub(crate) struct IdbStore {
 
 impl IdbStore {
     pub(crate) fn new(arity: usize) -> IdbStore {
+        IdbStore::from_store(TupleStore::new(arity))
+    }
+
+    fn from_store(store: TupleStore) -> IdbStore {
         IdbStore {
-            store: TupleStore::new(arity),
+            store,
             indexes: Vec::new(),
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.store.len()
     }
 
+    /// Builds the index on `key`, or catches an existing one up to the
+    /// rows appended since it was last extended.
     pub(crate) fn ensure_index(&mut self, key: &[usize]) {
-        if self.indexes.iter().any(|(k, _)| k == key) {
-            return;
+        match self.indexes.iter_mut().find(|(k, _)| k == key) {
+            Some((_, idx)) => idx.extend(&self.store),
+            None => {
+                let mut idx = ColumnIndex::new(key);
+                idx.extend(&self.store);
+                self.indexes.push((key.to_vec(), idx));
+            }
         }
-        let mut idx = ColumnIndex::new(key);
-        idx.extend(&self.store);
-        self.indexes.push((key.to_vec(), idx));
     }
 
     pub(crate) fn index(&self, key: &[usize]) -> &ColumnIndex {
@@ -1475,60 +1405,97 @@ impl IdbStore {
     }
 }
 
-/// Lazily-built hash indexes over the (immutable) EDB relations,
-/// cached for a whole evaluation. A `Vec` with linear lookup: the
-/// cache holds a handful of entries and `get` sits on the probe hot
-/// path, where a `HashMap` keyed by `(usize, Vec<usize>)` would
-/// allocate a key per call.
-#[derive(Debug, Default)]
-struct EdbCache {
-    cache: Vec<((usize, Vec<usize>), TupleIndex)>,
+/// Every EDB relation of `s` as a columnar store, indexed by `RelId.0`
+/// — loaded once per evaluation. Row ids follow each relation's sorted
+/// order, so scans and index probes (whose buckets list row ids in
+/// ascending order) meet EDB candidates in exactly the sorted order.
+fn load_edb(s: &Structure) -> Vec<IdbStore> {
+    s.signature()
+        .relations()
+        .map(|(r, _, _)| IdbStore::from_store(TupleStore::from_relation(s.rel(r))))
+        .collect()
 }
 
-impl EdbCache {
-    fn ensure(&mut self, s: &Structure, r: RelId, key: &[usize]) {
-        if self.cache.iter().any(|((i, k), _)| *i == r.0 && k == key) {
-            return;
+/// The store holding `pred`'s extent.
+pub(crate) fn extent<'a>(edb: &'a [IdbStore], idb: &'a [IdbStore], pred: Pred) -> &'a IdbStore {
+    match pred {
+        Pred::Edb(r) => &edb[r.0],
+        Pred::Idb(j) => &idb[j],
+    }
+}
+
+/// Derived head tuples staged per IDB in flat buffers, ready to be
+/// drained into the stores: no per-tuple allocation while a join runs,
+/// and no dedup until the drain, where `push_if_new` is the hash-set
+/// insert and the arena append in one step. The counts carry nullary
+/// facts, whose rows occupy no bytes.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    bufs: Vec<Vec<Elem>>,
+    counts: Vec<usize>,
+}
+
+impl Staged {
+    pub(crate) fn new(num_idbs: usize) -> Staged {
+        Staged {
+            bufs: vec![Vec::new(); num_idbs],
+            counts: vec![0; num_idbs],
         }
-        let rel = s.rel(r);
-        let idx = TupleIndex::build(rel.arity(), key, rel.iter());
-        self.cache.push(((r.0, key.to_vec()), idx));
     }
 
-    fn get(&self, r: RelId, key: &[usize]) -> &TupleIndex {
-        &self
-            .cache
-            .iter()
-            .find(|((i, k), _)| *i == r.0 && k == key)
-            .expect("index was built by ensure_plan_indexes")
-            .1
+    pub(crate) fn push(&mut self, idb: usize, t: &[Elem]) {
+        self.bufs[idb].extend_from_slice(t);
+        self.counts[idb] += 1;
+    }
+
+    /// Elements staged so far, for the arena-bytes trace fields.
+    fn elems(&self) -> usize {
+        self.bufs.iter().map(Vec::len).sum()
+    }
+
+    /// Appends every staged tuple not already live in its store, in
+    /// staging order, calling `fresh(idb, row)` for each new (or
+    /// revived) row. Returns the number of new rows.
+    pub(crate) fn drain_into(
+        self,
+        stores: &mut [IdbStore],
+        mut fresh: impl FnMut(usize, u32),
+    ) -> u64 {
+        let mut added = 0u64;
+        for (j, (buf, cnt)) in self.bufs.iter().zip(self.counts).enumerate() {
+            let a = stores[j].store.arity();
+            for i in 0..cnt {
+                if let Some(row) = stores[j].store.push_if_new(&buf[i * a..(i + 1) * a]) {
+                    fresh(j, row);
+                    added += 1;
+                }
+            }
+        }
+        added
     }
 }
 
 /// How one body atom is accessed by the join kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Access {
-    /// The delta-driver atom: iterate the (sharded) delta tuples.
+pub(crate) enum Access {
+    /// The delta-driver atom: iterate the given (delta) row ids.
     ScanDelta,
-    /// No bound positions: iterate the full extent.
+    /// No bound positions: iterate the full live extent.
     Scan,
-    /// EDB atom whose first `k` argument positions are bound: binary
-    /// prefix probe on the relation's sorted rows.
-    ProbePrefix(usize),
     /// Hash-index probe on the given bound argument positions.
     Probe(Vec<usize>),
     /// Anti-join check for a negated atom: every argument is bound, so
     /// the fully-instantiated tuple is tested for *absence* from the
-    /// completed lower-stratum extent (sorted-prefix probe for EDB,
-    /// `TupleStore::contains` for IDB — no index build needed).
+    /// completed lower-stratum extent (`TupleStore::contains` — no
+    /// index build needed).
     NegCheck,
 }
 
 /// One step of a rule plan: which body atom to join next, and how.
 #[derive(Debug, Clone)]
-struct Step {
-    atom: usize,
-    access: Access,
+pub(crate) struct Step {
+    pub(crate) atom: usize,
+    pub(crate) access: Access,
 }
 
 pub(crate) fn rule_num_vars(rule: &Rule) -> usize {
@@ -1547,16 +1514,24 @@ pub(crate) fn head_idb(rule: &Rule) -> usize {
     }
 }
 
-/// Greedy join order for one rule: the delta driver (if any) first,
-/// then repeatedly the positive atom with the most bound argument
-/// positions, breaking ties toward the smallest extent, then written
-/// order. Each chosen atom records how it will be accessed given what
-/// is bound. Negated atoms are placed as anti-join checks at the
-/// earliest step where every one of their variables is bound — the
-/// soonest the membership test is decidable is where it prunes most.
-fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStore]) -> Vec<Step> {
-    let num_vars = rule_num_vars(rule);
-    let mut bound = vec![false; num_vars];
+/// The one rule planner, shared by the batch engines, the incremental
+/// runtime and the magic-sets rewriter. Greedy join order: the delta
+/// driver (if any) first, then repeatedly the positive atom with the
+/// most bound argument positions, breaking ties toward the smallest
+/// `extent_len`, then written order. Variables flagged in `pre_bound`
+/// are bound before the first step (a goal plan pre-binds the head).
+/// Each chosen atom records how it will be accessed given what is
+/// bound. Negated atoms are placed as anti-join checks at the earliest
+/// step where every one of their variables is bound — the soonest the
+/// membership test is decidable is where it prunes most.
+pub(crate) fn plan_rule(
+    rule: &Rule,
+    driver: Option<usize>,
+    pre_bound: &[bool],
+    extent_len: &dyn Fn(&Atom) -> usize,
+) -> Vec<Step> {
+    let mut bound = vec![false; rule_num_vars(rule)];
+    bound[..pre_bound.len()].copy_from_slice(pre_bound);
     let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
     let mut remaining: Vec<usize> = (0..rule.body.len())
         .filter(|&i| !rule.body[i].negated)
@@ -1585,8 +1560,9 @@ fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStor
         });
     };
 
-    // Variable-free negated atoms (nullary, typically) gate the whole
-    // rule — check them before touching any extent.
+    // Negated atoms with no variable left to bind (nullary ones, or
+    // ones fully covered by `pre_bound`) gate the whole rule — check
+    // them before touching any extent.
     place_negs(&mut steps, &bound, &mut neg_remaining);
 
     if let Some(d) = driver {
@@ -1594,13 +1570,6 @@ fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStor
         remaining.retain(|&i| i != d);
         place_negs(&mut steps, &bound, &mut neg_remaining);
     }
-
-    let extent_len = |atom: &Atom| -> usize {
-        match atom.pred {
-            Pred::Edb(r) => s.rel(r).len(),
-            Pred::Idb(j) => store[j].len(),
-        }
-    };
 
     while !remaining.is_empty() {
         let best = remaining
@@ -1623,14 +1592,7 @@ fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStor
         let access = if key.is_empty() {
             Access::Scan
         } else {
-            match atom.pred {
-                // A bound prefix of a sorted EDB relation needs no
-                // index build at all.
-                Pred::Edb(_) if key.iter().enumerate().all(|(i, &p)| i == p) => {
-                    Access::ProbePrefix(key.len())
-                }
-                _ => Access::Probe(key),
-            }
+            Access::Probe(key)
         };
         take(best, &mut steps, &mut bound, access);
         remaining.retain(|&i| i != best);
@@ -1647,20 +1609,19 @@ fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStor
     steps
 }
 
-/// Builds every index a plan will probe, so execution can share the
-/// caches immutably (and across worker threads).
-fn ensure_plan_indexes(
+/// Builds (or catches up) every index a plan will probe, so execution
+/// can share the stores immutably (and across worker threads).
+pub(crate) fn ensure_plan_indexes(
     plan: &[Step],
     rule: &Rule,
-    s: &Structure,
-    edb: &mut EdbCache,
-    store: &mut [IdbStore],
+    edb: &mut [IdbStore],
+    idb: &mut [IdbStore],
 ) {
     for step in plan {
         if let Access::Probe(key) = &step.access {
             match rule.body[step.atom].pred {
-                Pred::Edb(r) => edb.ensure(s, r, key),
-                Pred::Idb(j) => store[j].ensure_index(key),
+                Pred::Edb(r) => edb[r.0].ensure_index(key),
+                Pred::Idb(j) => idb[j].ensure_index(key),
             }
         }
     }
@@ -1723,35 +1684,111 @@ fn emit_head_scan(
     rec(s, &rule.head, head_idb, binding, &unbound, 0, budget, emit)
 }
 
+/// The head-tuple sink of the join kernel: returns `false` to stop the
+/// whole join (a support check wants its first witness only).
+pub(crate) type Emit<'e> = dyn FnMut(&[Elem]) -> bool + 'e;
+
 /// Everything the join kernel needs for one rule application; shared
 /// immutably across worker threads.
-struct ExecCtx<'a> {
-    s: &'a Structure,
+pub(crate) struct ExecCtx<'a> {
     rule: &'a Rule,
     plan: &'a [Step],
-    edb: &'a EdbCache,
-    store: &'a [IdbStore],
-    /// Delta row ids for the `ScanDelta` step (a shard, or everything),
-    /// indexing into the driven IDB's store.
+    edb: &'a [IdbStore],
+    idb: &'a [IdbStore],
+    /// Row ids for the `ScanDelta` step (a shard, or everything),
+    /// indexing into the driven predicate's store.
     driver: &'a [u32],
-    head_idb: usize,
+    /// Unbound head variables range over `0..domain`.
+    domain: u32,
+    /// Budget tick site label.
+    at: &'static str,
     /// Candidate tuples the kernel tried to bind during this rule
     /// application — the per-rule probe count reported on trace spans
     /// and by `fmtk datalog --explain`. A `Cell` because the kernel
     /// threads `&ExecCtx` immutably; each context lives on one thread.
     probes: Cell<u64>,
-    /// Heap allocations the kernel's stack buffers spilled into (keys,
-    /// prefixes, or head tuples wider than [`VAL_STACK`]); zero on the
+    /// Heap allocations the kernel's stack buffers spilled into (keys
+    /// or head tuples wider than [`VAL_STACK`]); zero on the
     /// steady-state join loop, surfaced per rule for `--explain`.
     probe_allocs: Cell<u64>,
+}
+
+impl<'a> ExecCtx<'a> {
+    pub(crate) fn new(
+        rule: &'a Rule,
+        plan: &'a [Step],
+        edb: &'a [IdbStore],
+        idb: &'a [IdbStore],
+        driver: &'a [u32],
+        domain: u32,
+        at: &'static str,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            rule,
+            plan,
+            edb,
+            idb,
+            driver,
+            domain,
+            at,
+            probes: Cell::new(0),
+            probe_allocs: Cell::new(0),
+        }
+    }
+
+    /// Runs the whole plan under `binding` (all `None`, or with goal
+    /// variables pre-bound), emitting every head instantiation.
+    /// Returns `Ok(false)` if `emit` stopped the join early.
+    pub(crate) fn run(
+        &self,
+        binding: &mut [Option<Elem>],
+        budget: &Budget,
+        emit: &mut Emit<'_>,
+    ) -> BudgetResult<bool> {
+        exec(self, 0, binding, budget, emit)
+    }
+
+    /// Runs the whole plan from an empty binding, staging every emitted
+    /// head tuple that `keep` accepts. Returns the derivations:
+    /// emissions, duplicates included.
+    pub(crate) fn stage(
+        &self,
+        budget: &Budget,
+        staged: &mut Staged,
+        keep: impl Fn(&[Elem]) -> bool,
+    ) -> BudgetResult<u64> {
+        let head = head_idb(self.rule);
+        let mut derived = 0u64;
+        let mut binding = vec![None; rule_num_vars(self.rule)];
+        self.run(&mut binding, budget, &mut |t| {
+            derived += 1;
+            if keep(t) {
+                staged.push(head, t);
+            }
+            true
+        })?;
+        Ok(derived)
+    }
+
+    /// Attaches the per-rule work fields `fmtk datalog --explain` reads
+    /// to a rule span.
+    fn record(&self, span: &mut fmt_obs::trace::SpanGuard, derived: u64) {
+        span.record_field("probes", self.probes.get());
+        span.record_field("derived", derived);
+        span.record_field("probe_allocs", self.probe_allocs.get());
+    }
+
+    fn rel(&self, pred: Pred) -> &'a IdbStore {
+        extent(self.edb, self.idb, pred)
+    }
 }
 
 /// Bytes per stored element, for the arena-bytes trace fields.
 const ELEM_BYTES: usize = std::mem::size_of::<Elem>();
 
-/// Stack capacity for probe keys, prefixes, and head tuples — wide
-/// enough for every realistic atom; wider tuples spill to the heap and
-/// are counted in `queries.store.probe_allocs`.
+/// Stack capacity for probe keys and head tuples — wide enough for
+/// every realistic atom; wider tuples spill to the heap and are counted
+/// in `queries.store.probe_allocs`.
 const VAL_STACK: usize = 8;
 
 /// Copies `n` values into `stack` (or `heap` when they don't fit) and
@@ -1779,23 +1816,24 @@ fn fill_slice<'b>(
 
 /// Emits every instantiation of the head under the current binding;
 /// unbound head variables range over the whole domain. The binding is
-/// fully restored before a budget error propagates.
+/// fully restored before returning, also when a budget error
+/// propagates or `emit` stops the join.
 fn emit_head_unbound(
     ctx: &ExecCtx<'_>,
-    binding: &mut Vec<Option<Elem>>,
+    binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
+    emit: &mut Emit<'_>,
+) -> BudgetResult<bool> {
     fn rec(
         ctx: &ExecCtx<'_>,
-        binding: &mut Vec<Option<Elem>>,
+        binding: &mut [Option<Elem>],
         unbound: &[DlVar],
         i: usize,
         budget: &Budget,
-        emit: &mut dyn FnMut(usize, &[Elem]),
-    ) -> BudgetResult<()> {
+        emit: &mut Emit<'_>,
+    ) -> BudgetResult<bool> {
         if i == unbound.len() {
-            budget.tick(AT)?;
+            budget.tick(ctx.at)?;
             let head = &ctx.rule.head;
             let mut stack = [0; VAL_STACK];
             let mut heap = Vec::new();
@@ -1808,23 +1846,23 @@ fn emit_head_unbound(
                 &mut stack,
                 &mut heap,
             );
-            emit(ctx.head_idb, t);
-            return Ok(());
+            return Ok(emit(t));
         }
-        let mut result = Ok(());
-        for d in ctx.s.domain() {
+        for d in 0..ctx.domain {
             binding[unbound[i] as usize] = Some(d);
-            result = rec(ctx, binding, unbound, i + 1, budget, emit);
-            if result.is_err() {
-                break;
+            let result = rec(ctx, binding, unbound, i + 1, budget, emit);
+            if !matches!(result, Ok(true)) {
+                binding[unbound[i] as usize] = None;
+                return result;
             }
         }
         binding[unbound[i] as usize] = None;
-        result
+        Ok(true)
     }
 
-    // Empty for range-restricted rules, so the steady-state path never
-    // allocates here (an empty `filter().collect()` does not allocate).
+    // Empty for range-restricted rules and goal plans, so the
+    // steady-state path never allocates here (an empty
+    // `filter().collect()` does not allocate).
     let mut unbound: Vec<DlVar> = ctx
         .rule
         .head
@@ -1838,27 +1876,26 @@ fn emit_head_unbound(
     rec(ctx, binding, &unbound, 0, budget, emit)
 }
 
-/// Binds a candidate tuple — addressed by a column accessor, so row-id
-/// and slice candidates share one path — against the atom at plan step
+/// Binds candidate row `row` of `st` against the atom at plan step
 /// `step_i`, recursing into the next step on success. Touched variables
 /// are tracked in a bitmask (spilling past 128 into a lazily-allocated
-/// `Vec`) and the binding is fully restored before a budget error
-/// propagates.
+/// `Vec`) and the binding is fully restored before returning.
 fn try_candidate(
     ctx: &ExecCtx<'_>,
     step_i: usize,
-    get: impl Fn(usize) -> Elem,
-    binding: &mut Vec<Option<Elem>>,
+    st: &TupleStore,
+    row: u32,
+    binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
+    emit: &mut Emit<'_>,
+) -> BudgetResult<bool> {
     ctx.probes.set(ctx.probes.get() + 1);
     let atom = &ctx.rule.body[ctx.plan[step_i].atom];
     let mut touched: u128 = 0;
     let mut spill: Vec<DlVar> = Vec::new();
     let mut ok = true;
     for (i, &v) in atom.args.iter().enumerate() {
-        let e = get(i);
+        let e = st.value(row, i);
         match binding[v as usize] {
             Some(b) if b != e => {
                 ok = false;
@@ -1878,7 +1915,7 @@ fn try_candidate(
     let result = if ok {
         exec(ctx, step_i + 1, binding, budget, emit)
     } else {
-        Ok(())
+        Ok(true)
     };
     while touched != 0 {
         binding[touched.trailing_zeros() as usize] = None;
@@ -1890,26 +1927,28 @@ fn try_candidate(
     result
 }
 
-/// The indexed join kernel: runs plan step `step_i` under the current
-/// binding, emitting head instantiations once every step is satisfied.
-/// Ticks the budget once per step entered. IDB candidates are walked as
-/// row ids over the columnar stores; EDB candidates as row slices —
-/// neither path materializes a tuple or a probe key on the heap.
+/// The join kernel: runs plan step `step_i` under the current binding,
+/// emitting head instantiations once every step is satisfied. Ticks the
+/// budget once per step entered; returns `Ok(false)` as soon as `emit`
+/// asks to stop. Candidates are walked as row ids over the columnar
+/// stores — no path materializes a tuple or a probe key on the heap.
 fn exec(
     ctx: &ExecCtx<'_>,
     step_i: usize,
-    binding: &mut Vec<Option<Elem>>,
+    binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
-    budget.tick(AT)?;
+    emit: &mut Emit<'_>,
+) -> BudgetResult<bool> {
+    budget.tick(ctx.at)?;
     if step_i == ctx.plan.len() {
         return emit_head_unbound(ctx, binding, budget, emit);
     }
     let step = &ctx.plan[step_i];
     let atom = &ctx.rule.body[step.atom];
-    match (&step.access, atom.pred) {
-        (Access::NegCheck, _) => {
+    let rel = ctx.rel(atom.pred);
+    let st = &rel.store;
+    match &step.access {
+        Access::NegCheck => {
             // Anti-join: the planner placed this step only once every
             // argument was bound, so the tuple is fully determined —
             // one membership probe decides the whole subtree.
@@ -1925,58 +1964,27 @@ fn exec(
                 &mut stack,
                 &mut heap,
             );
-            let present = match atom.pred {
-                Pred::Edb(r) => index::probe_prefix(ctx.s.rel(r), t).next().is_some(),
-                Pred::Idb(j) => ctx.store[j].store.contains(t),
-            };
-            if !present {
-                exec(ctx, step_i + 1, binding, budget, emit)?;
+            if !st.contains(t) {
+                return exec(ctx, step_i + 1, binding, budget, emit);
             }
         }
-        (Access::ScanDelta, Pred::Idb(j)) => {
+        Access::ScanDelta => {
             index::note_scan(ctx.driver.len() as u64);
-            let st = &ctx.store[j].store;
             for &row in ctx.driver {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
+                if !try_candidate(ctx, step_i, st, row, binding, budget, emit)? {
+                    return Ok(false);
+                }
             }
         }
-        (Access::ScanDelta, Pred::Edb(_)) => {
-            unreachable!("delta drivers are IDB atoms")
-        }
-        (Access::Scan, Pred::Edb(r)) => {
-            let rel = ctx.s.rel(r);
-            index::note_scan(rel.len() as u64);
-            for t in rel.iter() {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::Scan, Pred::Idb(j)) => {
-            let st = &ctx.store[j].store;
+        Access::Scan => {
             index::note_scan(st.len() as u64);
-            for row in 0..st.len32() {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
+            for row in 0..st.rows32() {
+                if st.is_live(row) && !try_candidate(ctx, step_i, st, row, binding, budget, emit)? {
+                    return Ok(false);
+                }
             }
         }
-        (Access::ProbePrefix(k), Pred::Edb(r)) => {
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let prefix = fill_slice(
-                ctx,
-                *k,
-                (0..*k).map(|p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }),
-                &mut stack,
-                &mut heap,
-            );
-            for t in index::probe_prefix(ctx.s.rel(r), prefix) {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::ProbePrefix(_), Pred::Idb(_)) => {
-            unreachable!("prefix probes are planned for EDB atoms only")
-        }
-        (Access::Probe(key), Pred::Edb(r)) => {
+        Access::Probe(key) => {
             let mut stack = [0; VAL_STACK];
             let mut heap = Vec::new();
             let kv = fill_slice(
@@ -1988,29 +1996,14 @@ fn exec(
                 &mut stack,
                 &mut heap,
             );
-            for t in ctx.edb.get(r, key).probe(kv) {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::Probe(key), Pred::Idb(j)) => {
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let kv = fill_slice(
-                ctx,
-                key.len(),
-                key.iter().map(|&p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }),
-                &mut stack,
-                &mut heap,
-            );
-            let st = &ctx.store[j].store;
-            for row in ctx.store[j].index(key).probe(st, kv) {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
+            for row in rel.index(key).probe(st, kv) {
+                if !try_candidate(ctx, step_i, st, row, binding, budget, emit)? {
+                    return Ok(false);
+                }
             }
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -2386,6 +2379,22 @@ mod tests {
         }
     }
 
+    /// A plan over the extents the batch engines see before their
+    /// first round: the loaded EDB relations and empty IDB stores.
+    fn plan_at_start(
+        prog: &Program,
+        s: &Structure,
+        rule: usize,
+        driver: Option<usize>,
+        pre_bound: &[bool],
+    ) -> Vec<Step> {
+        let edb = load_edb(s);
+        let store = prog.new_store();
+        plan_rule(&prog.rules()[rule], driver, pre_bound, &|a| {
+            extent(&edb, &store, a.pred).len()
+        })
+    }
+
     #[test]
     fn planner_places_neg_checks_at_earliest_bound_step() {
         let sig = Signature::graph();
@@ -2395,8 +2404,7 @@ mod tests {
         )
         .unwrap();
         let s = builders::directed_path(4);
-        let store = prog.new_store();
-        let plan = plan_rule(&prog.rules()[0], None, &s, &store);
+        let plan = plan_at_start(&prog, &s, 0, None, &[]);
         // The NegCheck on `!e(y, y)` lands right after the first step
         // binds y — before the second positive edge atom is joined.
         let neg_step = plan
@@ -2404,6 +2412,26 @@ mod tests {
             .position(|st| st.access == Access::NegCheck)
             .unwrap();
         assert_eq!(neg_step, 1, "plan: {plan:?}");
+
+        // A goal plan pre-binds y (variable 1): `!e(y, y)` then has no
+        // variable left to bind and gates the rule at step 0, ahead of
+        // every join — and the positives probe outward from y.
+        let prog = Program::parse(&sig, "q(x, y) :- e(x, z), e(z, y), !e(y, y).").unwrap();
+        let plan = plan_at_start(&prog, &s, 0, None, &[false, true]);
+        let shape: Vec<(usize, Access)> =
+            plan.iter().map(|st| (st.atom, st.access.clone())).collect();
+        assert_eq!(
+            shape,
+            [
+                (2, Access::NegCheck),
+                (1, Access::Probe(vec![1])),
+                (0, Access::Probe(vec![1])),
+            ],
+            "plan: {plan:?}"
+        );
+        // Without the pre-binding the check waits until a join binds y.
+        let plan = plan_at_start(&prog, &s, 0, None, &[]);
+        assert_ne!(plan[0].access, Access::NegCheck, "plan: {plan:?}");
     }
 
     #[test]
@@ -2412,22 +2440,48 @@ mod tests {
         // yp, so both edge atoms become indexable probes.
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
-        let store = prog.new_store();
-        let rule = &prog.rules()[1];
-        let plan = plan_rule(rule, Some(2), &s, &store);
+        let plan = plan_at_start(&prog, &s, 1, Some(2), &[]);
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::ScanDelta);
         for step in &plan[1..] {
             assert_eq!(
                 step.access,
-                Access::ProbePrefix(1),
+                Access::Probe(vec![0]),
                 "edge atoms probe on their bound parent"
             );
         }
         // Without a driver nothing is bound at first: the smallest
         // extent leads (the empty IDB extent beats the edge relation).
-        let plan = plan_rule(rule, None, &s, &store);
+        let plan = plan_at_start(&prog, &s, 1, None, &[]);
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::Scan);
+
+        // A goal plan (the DRed support check) pre-binds the head's x
+        // and y: both edge atoms start half-bound, written order breaks
+        // the tie, and once xp is bound the empty sg extent wins the
+        // next tie over the edge relation.
+        let shape = |plan: &[Step]| -> Vec<(usize, Access)> {
+            plan.iter().map(|st| (st.atom, st.access.clone())).collect()
+        };
+        let plan = plan_at_start(&prog, &s, 1, None, &[true, true]);
+        assert_eq!(
+            shape(&plan),
+            [
+                (0, Access::Probe(vec![1])),
+                (2, Access::Probe(vec![0])),
+                (1, Access::Probe(vec![0, 1])),
+            ]
+        );
+        // Magic's SIP order: the same pre-binding with constant extents
+        // leaves boundness and written order alone to decide.
+        let plan = plan_rule(&prog.rules()[1], None, &[true, true], &|_| 0);
+        assert_eq!(
+            shape(&plan),
+            [
+                (0, Access::Probe(vec![1])),
+                (1, Access::Probe(vec![1])),
+                (2, Access::Probe(vec![0, 1])),
+            ]
+        );
     }
 }

@@ -6,10 +6,9 @@
 //! The maintenance algorithm is the classical pair:
 //!
 //! * **insertions** run the delta-rewritten program: every rule is
-//!   re-planned with the batch engine's greedy planner once per
-//!   `(rule, delta position)` and driven by the row ids appended (or
-//!   revived) since the last round, joining the other body atoms
-//!   against the full current extents;
+//!   planned once per `(rule, delta position)` and driven by the row
+//!   ids appended (or revived) since the last round, joining the other
+//!   body atoms against the full current extents;
 //! * **retractions** run DRed (delete–rederive): an over-deletion pass
 //!   applies the same delta rules with the retracted facts as drivers
 //!   against the *pre-deletion* extents, marking every fact with a
@@ -26,13 +25,23 @@
 //! index is rebuilt on the maintenance path (compaction, which does
 //! invalidate ids, runs only between polls once tombstones dominate).
 //!
+//! Planning and joining are not the runtime's own: every plan comes
+//! from the batch engines' planner and every join runs in their kernel
+//! (both in [`crate::datalog`]), over the runtime's EDB and IDB stores.
+//! The support check is the planner's goal shape — head variables
+//! pre-bound — with an emit sink that stops the join at the first
+//! witness.
+//!
 //! A budget-exhausted poll leaves the stores half-maintained; the
 //! runtime remembers this and the next poll falls back to a
 //! from-scratch rebuild, so exhaustion is recoverable and — for a fixed
 //! operation sequence at one thread — deterministic. Work is metered
 //! under `queries.incr.*` and traced as `datalog.incr.*` spans.
 
-use crate::datalog::{head_idb, rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
+use crate::datalog::{
+    ensure_plan_indexes, extent, head_idb, plan_rule, rule_num_vars, ExecCtx, IdbStore, Pred,
+    Program, Staged, Step,
+};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::fan_out;
@@ -60,30 +69,9 @@ static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rounds
 /// From-scratch rebuilds (first poll, or recovery after exhaustion).
 static OBS_REBUILDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rebuilds");
 
-/// How one body atom is accessed by the incremental join kernel. The
-/// runtime stores EDB and IDB extents uniformly as [`TupleStore`]s, so
-/// unlike the batch engine there is no sorted-prefix access — bound
-/// positions always probe a [`ColumnIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Access {
-    /// The delta-driver atom: iterate the given row ids.
-    ScanDelta,
-    /// No bound positions: iterate the full live extent.
-    Scan,
-    /// Hash-index probe on the given bound argument positions.
-    Probe(Vec<usize>),
-}
-
-/// One step of a rule plan: which body atom to join next, and how.
-#[derive(Debug, Clone)]
-struct Step {
-    atom: usize,
-    access: Access,
-}
-
-/// Key of the per-rule plan cache. Mirrors the batch engine's
-/// per-(rule, pos) cache, extended with the two driverless shapes the
-/// maintenance loop needs.
+/// Key of the runtime's plan cache: the batch engine's per-(rule, pos)
+/// driver shape, plus the two driverless shapes the maintenance loop
+/// needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PlanKey {
     /// Delta-driven: body position `pos` iterates the delta rows.
@@ -93,251 +81,6 @@ enum PlanKey {
     /// No driver, head variables pre-bound: the DRed remaining-support
     /// check.
     Goal { rule: usize },
-}
-
-/// Greedy join order for one rule under the runtime's uniform columnar
-/// extents: the delta driver (if any) first, then repeatedly the atom
-/// with the most bound argument positions, breaking ties toward the
-/// smallest extent, then written order — the batch planner's policy
-/// with [`Access::Probe`] for every bound access.
-fn plan_incr(
-    rule: &Rule,
-    driver: Option<usize>,
-    pre_bound: &[bool],
-    extent_len: &dyn Fn(&Atom) -> usize,
-) -> Vec<Step> {
-    let num_vars = rule_num_vars(rule);
-    let mut bound = vec![false; num_vars];
-    bound[..pre_bound.len()].copy_from_slice(pre_bound);
-    let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
-    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-
-    let take = |i: usize, steps: &mut Vec<Step>, bound: &mut Vec<bool>, access: Access| {
-        steps.push(Step { atom: i, access });
-        for &v in &rule.body[i].args {
-            bound[v as usize] = true;
-        }
-    };
-
-    if let Some(d) = driver {
-        take(d, &mut steps, &mut bound, Access::ScanDelta);
-        remaining.retain(|&i| i != d);
-    }
-
-    while !remaining.is_empty() {
-        let best = remaining
-            .iter()
-            .copied()
-            .max_by_key(|&i| {
-                let atom = &rule.body[i];
-                let bound_positions = atom.args.iter().filter(|&&v| bound[v as usize]).count();
-                (
-                    bound_positions,
-                    std::cmp::Reverse(extent_len(atom)),
-                    std::cmp::Reverse(i),
-                )
-            })
-            .expect("remaining is nonempty");
-        let atom = &rule.body[best];
-        let key: Vec<usize> = (0..atom.args.len())
-            .filter(|&p| bound[atom.args[p] as usize])
-            .collect();
-        let access = if key.is_empty() {
-            Access::Scan
-        } else {
-            Access::Probe(key)
-        };
-        take(best, &mut steps, &mut bound, access);
-        remaining.retain(|&i| i != best);
-    }
-    steps
-}
-
-/// Everything the incremental kernel needs for one rule application;
-/// shared immutably across worker threads.
-struct Kernel<'a> {
-    rule: &'a Rule,
-    plan: &'a [Step],
-    edb: &'a [IdbStore],
-    idb: &'a [IdbStore],
-    /// Row ids for the `ScanDelta` step, indexing into the driven
-    /// predicate's store (EDB or IDB).
-    driver: &'a [u32],
-    domain: u32,
-    head_idb: usize,
-}
-
-impl<'a> Kernel<'a> {
-    fn rel(&self, pred: Pred) -> &'a IdbStore {
-        match pred {
-            Pred::Edb(r) => &self.edb[r.0],
-            Pred::Idb(j) => &self.idb[j],
-        }
-    }
-
-    /// Emits every instantiation of the head under the current binding,
-    /// with unbound head variables ranging over the whole domain.
-    /// `emit` returns `false` to stop the whole join (the goal-directed
-    /// rederivation check wants the first witness only); the kernel
-    /// forwards that as `Ok(false)`.
-    fn emit_head(
-        &self,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        fn rec(
-            k: &Kernel<'_>,
-            binding: &mut [Option<Elem>],
-            unbound: &[u32],
-            i: usize,
-            buf: &mut Vec<Elem>,
-            budget: &Budget,
-            emit: &mut dyn FnMut(&[Elem]) -> bool,
-        ) -> BudgetResult<bool> {
-            if i == unbound.len() {
-                budget.tick(AT)?;
-                buf.clear();
-                buf.extend(
-                    k.rule
-                        .head
-                        .args
-                        .iter()
-                        .map(|&v| binding[v as usize].expect("head var bound")),
-                );
-                return Ok(emit(buf));
-            }
-            let mut keep_going = true;
-            for d in 0..k.domain {
-                binding[unbound[i] as usize] = Some(d);
-                match rec(k, binding, unbound, i + 1, buf, budget, emit) {
-                    Ok(true) => {}
-                    other => {
-                        keep_going = false;
-                        binding[unbound[i] as usize] = None;
-                        return other.map(|_| keep_going);
-                    }
-                }
-            }
-            binding[unbound[i] as usize] = None;
-            Ok(keep_going)
-        }
-
-        // Empty for range-restricted rules and for goal plans (where
-        // every head variable is pre-bound).
-        let mut unbound: Vec<u32> = self
-            .rule
-            .head
-            .args
-            .iter()
-            .copied()
-            .filter(|&v| binding[v as usize].is_none())
-            .collect();
-        unbound.sort_unstable();
-        unbound.dedup();
-        let mut buf = Vec::with_capacity(self.rule.head.args.len());
-        rec(self, binding, &unbound, 0, &mut buf, budget, emit)
-    }
-
-    /// Binds a candidate row against the atom at plan step `step_i`,
-    /// recursing into the next step on success; the binding is fully
-    /// restored before returning.
-    fn try_candidate(
-        &self,
-        step_i: usize,
-        st: &TupleStore,
-        row: u32,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        let atom = &self.rule.body[self.plan[step_i].atom];
-        let mut touched: u128 = 0;
-        let mut ok = true;
-        for (i, &v) in atom.args.iter().enumerate() {
-            let e = st.value(row, i);
-            match binding[v as usize] {
-                Some(b) if b != e => {
-                    ok = false;
-                    break;
-                }
-                Some(_) => {}
-                None => {
-                    binding[v as usize] = Some(e);
-                    debug_assert!(
-                        (v as usize) < 128,
-                        "parser caps rule variables well below 128"
-                    );
-                    touched |= 1u128 << v;
-                }
-            }
-        }
-        let result = if ok {
-            self.exec(step_i + 1, binding, budget, emit)
-        } else {
-            Ok(true)
-        };
-        while touched != 0 {
-            binding[touched.trailing_zeros() as usize] = None;
-            touched &= touched - 1;
-        }
-        result
-    }
-
-    /// Runs plan step `step_i` under the current binding, emitting head
-    /// instantiations once every step is satisfied. Ticks the budget
-    /// once per step entered; returns `Ok(false)` as soon as `emit`
-    /// asks to stop.
-    fn exec(
-        &self,
-        step_i: usize,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        budget.tick(AT)?;
-        if step_i == self.plan.len() {
-            return self.emit_head(binding, budget, emit);
-        }
-        let step = &self.plan[step_i];
-        let atom = &self.rule.body[step.atom];
-        let st = &self.rel(atom.pred).store;
-        match &step.access {
-            Access::ScanDelta => {
-                for &row in self.driver {
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            Access::Scan => {
-                for row in 0..st.rows32() {
-                    if !st.is_live(row) {
-                        continue;
-                    }
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            Access::Probe(key) => {
-                let mut kv = Vec::with_capacity(key.len());
-                kv.extend(key.iter().map(|&p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }));
-                let idx = self.rel(atom.pred).index(key);
-                // The probe iterator borrows the store; collect row ids
-                // is avoided by re-probing lazily — but the iterator
-                // itself is cheap, so walk it directly.
-                for row in idx.probe(st, &kv) {
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
 }
 
 /// What one [`DatalogRuntime::poll`] did, in fact counts.
@@ -659,30 +402,13 @@ impl DatalogRuntime {
         let span = fmt_obs::trace_span!("datalog.incr.init");
         let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
         for ri in 0..self.program.rules().len() {
+            // Each rule's output lands before the next rule is planned,
+            // so later init rules already join against it.
             let pi = self.plan_for(PlanKey::Init { rule: ri });
-            let rule = &self.program.rules()[ri];
-            let kernel = Kernel {
-                rule,
-                plan: &self.plans[pi],
-                edb: &self.edb,
-                idb: &self.idb,
-                driver: &[],
-                domain: self.domain,
-                head_idb: head_idb(rule),
-            };
-            let h = kernel.head_idb;
-            let mut staged: Vec<Vec<Elem>> = Vec::new();
-            let mut binding = vec![None; rule_num_vars(rule)];
-            kernel.exec(0, &mut binding, budget, &mut |t| {
-                staged.push(t.to_vec());
-                true
-            })?;
-            for t in staged {
-                if let Some(row) = self.idb[h].store.push_if_new(&t) {
-                    idb_delta[h].push(row);
-                    stats.derived += 1;
-                }
-            }
+            let mut staged = Staged::new(self.idb.len());
+            self.kernel(ri, pi, &[])
+                .stage(budget, &mut staged, |_| true)?;
+            stats.derived += staged.drain_into(&mut self.idb, |j, row| idb_delta[j].push(row));
         }
         for r in &mut self.idb {
             r.extend_indexes();
@@ -770,60 +496,32 @@ impl DatalogRuntime {
         loop {
             stats.rounds += 1;
             OBS_ROUNDS.incr();
-            let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-            for (ri, rule) in self.program.rules().iter().enumerate() {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    let nonempty = match atom.pred {
-                        Pred::Edb(r) => !edb_delta[r.0].is_empty(),
-                        Pred::Idb(j) => !idb_delta[j].is_empty(),
-                    };
-                    if nonempty {
-                        jobs.push((ri, pos, 0));
-                    }
-                }
-            }
+            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
             if jobs.is_empty() {
                 break;
-            }
-            for job in &mut jobs {
-                job.2 = self.plan_for(PlanKey::Driver {
-                    rule: job.0,
-                    pos: job.1,
-                });
             }
             let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
             for &(ri, pos, pi) in &jobs {
                 let rule = &self.program.rules()[ri];
-                let driver = match rule.body[pos].pred {
-                    Pred::Edb(r) => &edb_delta[r.0],
-                    Pred::Idb(j) => &idb_delta[j],
-                };
-                let kernel = Kernel {
-                    rule,
-                    plan: &self.plans[pi],
-                    edb: &self.edb,
-                    idb: &self.idb,
-                    driver,
-                    domain: self.domain,
-                    head_idb: head_idb(rule),
-                };
-                let h = kernel.head_idb;
+                let driver = delta_of(&edb_delta, &idb_delta, rule.body[pos].pred);
+                let h = head_idb(rule);
                 let head_store = &self.idb[h].store;
                 let marks = &mut marked[h];
                 let fresh = &mut next_delta[h];
                 let mut binding = vec![None; rule_num_vars(rule)];
-                kernel.exec(0, &mut binding, budget, &mut |t| {
-                    // Every emitted head had a derivation over the old
-                    // extents, so it is in the old fixpoint; mark it
-                    // for deletion once.
-                    if let Some(row) = head_store.find(t) {
-                        if !marks[row as usize] {
-                            marks[row as usize] = true;
-                            fresh.push(row);
+                self.kernel(ri, pi, driver)
+                    .run(&mut binding, budget, &mut |t| {
+                        // Every emitted head had a derivation over the old
+                        // extents, so it is in the old fixpoint; mark it
+                        // for deletion once.
+                        if let Some(row) = head_store.find(t) {
+                            if !marks[row as usize] {
+                                marks[row as usize] = true;
+                                fresh.push(row);
+                            }
                         }
-                    }
-                    true
-                })?;
+                        true
+                    })?;
             }
             for r in &mut edb_delta {
                 r.clear();
@@ -915,21 +613,12 @@ impl DatalogRuntime {
             if !consistent {
                 continue;
             }
-            let kernel = Kernel {
-                rule,
-                plan: &self.plans[pi],
-                edb: &self.edb,
-                idb: &self.idb,
-                driver: &[],
-                domain: self.domain,
-                head_idb: idb,
-            };
-            let mut found = false;
-            kernel.exec(0, &mut binding, budget, &mut |_| {
-                found = true;
-                false // first witness suffices
-            })?;
-            if found {
+            // The first witness suffices: stopping the join is the
+            // only way `run` reports `false`.
+            if !self
+                .kernel(ri, pi, &[])
+                .run(&mut binding, budget, &mut |_| false)?
+            {
                 return Ok(true);
             }
         }
@@ -952,85 +641,44 @@ impl DatalogRuntime {
         while edb_delta.iter().any(|d| !d.is_empty()) || idb_delta.iter().any(|d| !d.is_empty()) {
             stats.rounds += 1;
             OBS_ROUNDS.incr();
-            let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-            for (ri, rule) in self.program.rules().iter().enumerate() {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    let nonempty = match atom.pred {
-                        Pred::Edb(r) => !edb_delta[r.0].is_empty(),
-                        Pred::Idb(j) => !idb_delta[j].is_empty(),
-                    };
-                    if nonempty {
-                        jobs.push((ri, pos, 0));
-                    }
-                }
-            }
+            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
             if jobs.is_empty() {
                 break;
-            }
-            for job in &mut jobs {
-                job.2 = self.plan_for(PlanKey::Driver {
-                    rule: job.0,
-                    pos: job.1,
-                });
             }
 
             // Split each job's delta into contiguous chunks so big
             // rounds spread across workers; results still merge in
             // item order, so any thread count computes the same store.
-            let total: usize = jobs
-                .iter()
-                .map(
-                    |&(ri, pos, _)| match self.program.rules()[ri].body[pos].pred {
-                        Pred::Edb(r) => edb_delta[r.0].len(),
-                        Pred::Idb(j) => idb_delta[j].len(),
-                    },
+            let driver = |&(ri, pos, _): &(usize, usize, usize)| {
+                delta_of(
+                    &edb_delta,
+                    &idb_delta,
+                    self.program.rules()[ri].body[pos].pred,
                 )
-                .sum();
+            };
+            let total: usize = jobs.iter().map(|job| driver(job).len()).sum();
             let nchunks = if self.threads == 1 || total < 512 {
                 1
             } else {
                 self.threads
             };
             let mut items: Vec<(usize, &[u32])> = Vec::new();
-            for (ji, &(ri, pos, _)) in jobs.iter().enumerate() {
-                let delta: &[u32] = match self.program.rules()[ri].body[pos].pred {
-                    Pred::Edb(r) => &edb_delta[r.0],
-                    Pred::Idb(j) => &idb_delta[j],
-                };
+            for (ji, job) in jobs.iter().enumerate() {
+                let delta = driver(job);
                 let chunk = delta.len().div_ceil(nchunks).max(1);
                 items.extend(delta.chunks(chunk).map(|c| (ji, c)));
             }
 
             let span = fmt_obs::trace_span!("datalog.incr.round", jobs = jobs.len());
-            let program = &self.program;
-            let plans = &self.plans;
-            let edb = &self.edb;
-            let idb = &self.idb;
-            let domain = self.domain;
+            let this = &*self;
             let results = fan_out(self.threads, &items, |chunk| {
-                let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                let mut counts: Vec<usize> = vec![0; k];
+                let mut staged = Staged::new(k);
                 for &(ji, driver) in chunk {
                     let (ri, _, pi) = jobs[ji];
-                    let rule = &program.rules()[ri];
-                    let kernel = Kernel {
-                        rule,
-                        plan: &plans[pi],
-                        edb,
-                        idb,
-                        driver,
-                        domain,
-                        head_idb: head_idb(rule),
-                    };
-                    let h = kernel.head_idb;
-                    let mut binding = vec![None; rule_num_vars(rule)];
-                    kernel.exec(0, &mut binding, budget, &mut |t| {
-                        bufs[h].extend_from_slice(t);
-                        counts[h] += 1;
-                        true
-                    })?;
+                    this.kernel(ri, pi, driver)
+                        .stage(budget, &mut staged, |_| true)?;
                 }
-                Ok((bufs, counts))
+                Ok(staged)
             });
             drop(span);
 
@@ -1039,16 +687,8 @@ impl DatalogRuntime {
             }
             let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); k];
             for chunk_result in results {
-                let (bufs, counts) = chunk_result?;
-                for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                    let a = self.program.idb_info(j).1;
-                    for i in 0..cnt {
-                        if let Some(row) = self.idb[j].store.push_if_new(&buf[i * a..(i + 1) * a]) {
-                            next_delta[j].push(row);
-                            stats.derived += 1;
-                        }
-                    }
-                }
+                stats.derived +=
+                    chunk_result?.drain_into(&mut self.idb, |j, row| next_delta[j].push(row));
             }
             for r in &mut self.idb {
                 r.extend_indexes();
@@ -1059,61 +699,77 @@ impl DatalogRuntime {
         Ok(())
     }
 
-    /// Plan-cache lookup, planning (and building the indexes the plan
-    /// probes) on first sight — the incremental counterpart of the
-    /// batch engine's per-(rule, pos) cache, extended with init and
-    /// goal shapes.
-    fn plan_for(&mut self, key: PlanKey) -> usize {
-        if let Some(&pi) = self.plan_of.get(&key) {
-            self.ensure_indexes(pi, key);
-            return pi;
+    /// One job per `(rule, body position)` whose predicate has a
+    /// nonempty delta, as `(rule, pos, plan)`.
+    fn delta_jobs(
+        &mut self,
+        edb_delta: &[Vec<u32>],
+        idb_delta: &[Vec<u32>],
+    ) -> Vec<(usize, usize, usize)> {
+        let mut jobs: Vec<(usize, usize)> = Vec::new();
+        for (ri, rule) in self.program.rules().iter().enumerate() {
+            for (pos, atom) in rule.body.iter().enumerate() {
+                if !delta_of(edb_delta, idb_delta, atom.pred).is_empty() {
+                    jobs.push((ri, pos));
+                }
+            }
         }
+        jobs.into_iter()
+            .map(|(rule, pos)| (rule, pos, self.plan_for(PlanKey::Driver { rule, pos })))
+            .collect()
+    }
+
+    /// Plan-cache lookup through the batch engine's planner, planning on
+    /// first sight; either way every index the plan probes is built or
+    /// caught up.
+    fn plan_for(&mut self, key: PlanKey) -> usize {
         let (ri, driver) = match key {
             PlanKey::Driver { rule, pos } => (rule, Some(pos)),
             PlanKey::Init { rule } | PlanKey::Goal { rule } => (rule, None),
         };
         let rule = &self.program.rules()[ri];
-        let mut pre_bound = vec![false; rule_num_vars(rule)];
-        if matches!(key, PlanKey::Goal { .. }) {
-            for &v in &rule.head.args {
-                pre_bound[v as usize] = true;
-            }
-        }
-        let edb = &self.edb;
-        let idb = &self.idb;
-        let extent_len = |atom: &Atom| -> usize {
-            match atom.pred {
-                Pred::Edb(r) => edb[r.0].store.len(),
-                Pred::Idb(j) => idb[j].store.len(),
+        let pi = match self.plan_of.get(&key) {
+            Some(&pi) => pi,
+            None => {
+                let mut pre_bound = vec![false; rule_num_vars(rule)];
+                if matches!(key, PlanKey::Goal { .. }) {
+                    for &v in &rule.head.args {
+                        pre_bound[v as usize] = true;
+                    }
+                }
+                let (edb, idb) = (&self.edb, &self.idb);
+                let plan = plan_rule(rule, driver, &pre_bound, &|a| {
+                    extent(edb, idb, a.pred).len()
+                });
+                self.plans.push(plan);
+                self.plan_of.insert(key, self.plans.len() - 1);
+                self.plans.len() - 1
             }
         };
-        let plan = plan_incr(rule, driver, &pre_bound, &extent_len);
-        self.plans.push(plan);
-        let pi = self.plans.len() - 1;
-        self.plan_of.insert(key, pi);
-        self.ensure_indexes(pi, key);
+        ensure_plan_indexes(&self.plans[pi], rule, &mut self.edb, &mut self.idb);
         pi
     }
 
-    /// Builds (or catches up) every index a plan probes. Cheap when
-    /// current: `ColumnIndex::extend` is a no-op past `built_upto`.
-    fn ensure_indexes(&mut self, pi: usize, key: PlanKey) {
-        let ri = match key {
-            PlanKey::Driver { rule, .. } | PlanKey::Init { rule } | PlanKey::Goal { rule } => rule,
-        };
-        for si in 0..self.plans[pi].len() {
-            let Access::Probe(ref k) = self.plans[pi][si].access else {
-                continue;
-            };
-            let k = k.clone();
-            let atom_i = self.plans[pi][si].atom;
-            let rel = match self.program.rules()[ri].body[atom_i].pred {
-                Pred::Edb(r) => &mut self.edb[r.0],
-                Pred::Idb(j) => &mut self.idb[j],
-            };
-            rel.ensure_index(&k);
-            rel.extend_indexes();
-        }
+    /// The join kernel for rule `ri` under cached plan `pi`, driven by
+    /// `driver` rows.
+    fn kernel<'a>(&'a self, ri: usize, pi: usize, driver: &'a [u32]) -> ExecCtx<'a> {
+        ExecCtx::new(
+            &self.program.rules()[ri],
+            &self.plans[pi],
+            &self.edb,
+            &self.idb,
+            driver,
+            self.domain,
+            AT,
+        )
+    }
+}
+
+/// The delta row ids of `pred`.
+fn delta_of<'d>(edb_delta: &'d [Vec<u32>], idb_delta: &'d [Vec<u32>], pred: Pred) -> &'d [u32] {
+    match pred {
+        Pred::Edb(r) => &edb_delta[r.0],
+        Pred::Idb(j) => &idb_delta[j],
     }
 }
 

@@ -128,6 +128,7 @@ impl TupleStore {
     /// subsystem. Row ids follow the relation's lexicographic order.
     pub fn from_relation(rel: &Relation) -> TupleStore {
         let mut st = TupleStore::new(rel.arity());
+        st.reserve(rel.len());
         for t in rel.iter() {
             st.push_if_new(t);
         }
@@ -384,7 +385,26 @@ impl TupleStore {
     /// fixpoint run at ~1.33n row hashes instead of ~2n, at the cost of
     /// a transiently lower load factor — 4 bytes per empty slot.
     fn grow(&mut self) {
-        let cap = (self.slots.len() * 4).max(16);
+        self.rehash((self.slots.len() * 4).max(16));
+    }
+
+    /// Makes room for `rows` more rows, so appending them regrows
+    /// neither the arenas nor the dedup table.
+    fn reserve(&mut self, rows: usize) {
+        for c in &mut self.cols {
+            c.reserve(rows);
+        }
+        let cap = ((self.len as usize + rows + 1) * 10)
+            .div_ceil(7)
+            .next_power_of_two()
+            .max(16);
+        if cap > self.slots.len() {
+            self.rehash(cap);
+        }
+    }
+
+    /// Re-seats every row id in a fresh dedup table of `cap` slots.
+    fn rehash(&mut self, cap: usize) {
         if !self.slots.is_empty() {
             OBS_REHASHES.incr();
         }

@@ -4,6 +4,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs a timing gate (the command after the gate's name) up to five
+# times, each in a fresh process. Per-process code/heap layout moves
+# hot-loop timings by a few percent, so one unlucky spawn proves
+# nothing, while a real regression fails every spawn.
+retry_gate() {
+    local name="$1"
+    shift
+    for attempt in 1 2 3 4 5; do
+        if "$@"; then
+            return 0
+        fi
+        echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
+    done
+    echo "$name gate failed on all attempts" >&2
+    exit 1
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -66,48 +83,13 @@ cargo run --release -q -p fmt-cli --bin fmtk -- \
     conform --oracle magic --seed 19 --cases 240
 
 echo "==> budget overhead gate (unlimited budget within 5% of tc_path_512 baseline)"
-# Per-process code/heap layout moves hot-loop timings by a few percent,
-# so retry across process spawns: a real regression fails every spawn.
-overhead_ok=0
-for attempt in 1 2 3 4 5; do
-    if cargo run --release -q -p fmt-bench --bin budget_overhead; then
-        overhead_ok=1
-        break
-    fi
-    echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
-done
-if [[ "$overhead_ok" != 1 ]]; then
-    echo "budget overhead gate failed on all attempts" >&2
-    exit 1
-fi
+retry_gate "budget overhead" cargo run --release -q -p fmt-bench --bin budget_overhead
 
 echo "==> throughput gate (columnar engine >=5x tuples/sec over pre-columnar baseline)"
-throughput_ok=0
-for attempt in 1 2 3 4 5; do
-    if cargo run --release -q -p fmt-bench --bin throughput_gate; then
-        throughput_ok=1
-        break
-    fi
-    echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
-done
-if [[ "$throughput_ok" != 1 ]]; then
-    echo "throughput gate failed on all attempts" >&2
-    exit 1
-fi
+retry_gate "throughput" cargo run --release -q -p fmt-bench --bin throughput_gate
 
 echo "==> incremental gate (maintained update >=5x faster than from-scratch on tc_path_512)"
-incr_ok=0
-for attempt in 1 2 3 4 5; do
-    if cargo run --release -q -p fmt-bench --bin incr_gate; then
-        incr_ok=1
-        break
-    fi
-    echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
-done
-if [[ "$incr_ok" != 1 ]]; then
-    echo "incremental gate failed on all attempts" >&2
-    exit 1
-fi
+retry_gate "incremental" cargo run --release -q -p fmt-bench --bin incr_gate
 
 echo "==> magic gate (point query derives >=5x fewer tuples than full materialization)"
 # The derivation ratio is deterministic (the engines count derived
@@ -124,19 +106,8 @@ mkdir -p "$TRACE_DIR"
 printf 't(x,y) :- e(x,y).\nt(x,z) :- t(x,y), e(y,z).\n' > "$TRACE_DIR/tc.dl"
 "$FMTK" --trace "$TRACE_DIR/tc_path_512.trace.json" \
     datalog "$TRACE_DIR/tc_path_512.st" "$TRACE_DIR/tc.dl" > /dev/null
-trace_ok=0
-for attempt in 1 2 3 4 5; do
-    if cargo run --release -q -p fmt-bench --bin trace_gate -- \
-        "$TRACE_DIR/tc_path_512.trace.json"; then
-        trace_ok=1
-        break
-    fi
-    echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
-done
-if [[ "$trace_ok" != 1 ]]; then
-    echo "trace gate failed on all attempts" >&2
-    exit 1
-fi
+retry_gate "trace" cargo run --release -q -p fmt-bench --bin trace_gate -- \
+    "$TRACE_DIR/tc_path_512.trace.json"
 
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     echo "==> benches (RUN_BENCH=1)"

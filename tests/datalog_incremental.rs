@@ -10,7 +10,7 @@ use fmt_conform::gen::{UpdateOp, UpdateTrace};
 use fmt_conform::shrink::minimize;
 use fmt_core::queries::datalog::Program;
 use fmt_core::queries::incremental::DatalogRuntime;
-use fmt_core::structures::{Elem, Signature, StructureBuilder};
+use fmt_core::structures::{builders, Elem, Signature, StructureBuilder};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -191,4 +191,48 @@ fn negated_programs_are_rejected_with_a_typed_error() {
     let s = StructureBuilder::new(sig, 3).build().unwrap();
     let err2 = DatalogRuntime::from_structure(prog, &s).expect_err("from_structure too");
     assert_eq!((err2.rule, err2.atom), (1, 1));
+}
+
+/// A chain rule with 130 distinct variables and an 11-column head:
+/// binding restore must reach variables past 128, and head tuples wider
+/// than the kernel's stack buffer must spill to the heap — in the
+/// runtime exactly as in the batch engine, at one and three threads,
+/// through the first poll and through a DRed retraction.
+#[test]
+fn wide_chain_rule_matches_the_batch_engine() {
+    let sig = Signature::graph();
+    let e = sig.relation("E").unwrap();
+    let head: Vec<String> = (0..10)
+        .map(|i| format!("x{i}"))
+        .chain(["x129".to_owned()])
+        .collect();
+    let body: Vec<String> = (0..129).map(|i| format!("e(x{i}, x{})", i + 1)).collect();
+    let src = format!("p({}) :- {}.", head.join(", "), body.join(", "));
+    let prog = Program::parse(&sig, &src).unwrap();
+    let p = prog.idb("p").unwrap();
+
+    let s = builders::directed_path(200);
+    let cut = [100, 101];
+    let mut b = StructureBuilder::new(sig.clone(), 200);
+    for t in s.rel(e).iter().filter(|&t| t != cut) {
+        b.add(e, t).unwrap();
+    }
+    let s_cut = b.build().unwrap();
+
+    let want = prog.eval_seminaive_with(&s, 1);
+    let want_cut = prog.eval_seminaive_with(&s_cut, 1);
+    assert_eq!(want.relation(p).len(), 71, "chains start at 0..=70");
+    assert!(
+        want_cut.relation(p).is_empty(),
+        "no 129-edge chain avoids the cut"
+    );
+    for threads in [1, 3] {
+        let mut rt = DatalogRuntime::from_structure(prog.clone(), &s).unwrap();
+        rt.set_threads(threads);
+        rt.poll();
+        assert_eq!(rt.query(p), want.relation(p), "threads = {threads}");
+        rt.retract(e, &cut);
+        rt.poll();
+        assert_eq!(rt.query(p), want_cut.relation(p), "threads = {threads}");
+    }
 }
