@@ -107,8 +107,15 @@ pub fn try_duplicator_wins_parallel(
         span.record_field("win", false);
         return Ok(false);
     }
-    for outcome in outcomes {
-        outcome?;
+    // Workers can run dry concurrently, each seeing its own tick count;
+    // report the tick that first ran past the budget, not whichever
+    // worker's chunk comes first.
+    if let Some(e) = outcomes
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|e| e.spent)
+    {
+        return Err(e);
     }
     span.record_field("win", true);
     Ok(true)

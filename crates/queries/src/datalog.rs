@@ -31,14 +31,15 @@
 //! smallest-extent atom first) and bound-position lookups probe hash
 //! indexes from [`fmt_structures::index`] instead of rescanning
 //! extents; semi-naive rounds fan the per-rule delta applications out
-//! across scoped worker threads with hash-sharded deltas. IDB extents
+//! across scoped worker threads in contiguous delta chunks. IDB extents
 //! live in columnar [`TupleStore`] arenas, and each EDB relation is
 //! loaded into one per evaluation: the kernel walks `u32` row ids and
-//! per-column slices, deltas are row-id ranges of the growing stores,
+//! per-column slices, deltas are row-id lists into the growing stores,
 //! and the steady-state join loop performs no per-derived-tuple heap
-//! allocation. The one planner (`plan_rule`) and the one kernel
-//! (`ExecCtx`) serve the naive and semi-naive engines here, the
-//! incremental runtime, and the magic-sets rewriter's SIP order. The
+//! allocation. The one planner (`plan_rule`), the one kernel
+//! (`ExecCtx`) and the one round loop (`Fixpoint`) serve the naive and
+//! semi-naive engines here and the incremental runtime; the planner
+//! also gives the magic-sets rewriter its SIP order. The
 //! original written-order nested-loop evaluator survives as
 //! [`Program::eval_seminaive_scan`] — the baseline the `datalog` bench
 //! and the `queries.index.*` counters are compared against, still on
@@ -56,12 +57,12 @@ use std::collections::{HashMap, HashSet};
 /// Budget tick site label shared by all three Datalog engines.
 const AT: &str = "queries.datalog";
 
-/// Fixpoint rounds of semi-naive evaluation (the initialization pass
-/// counts as round one, mirroring `Output::iterations`).
+/// Fixpoint rounds of every engine, the incremental runtime's included
+/// (an init pass counts as one round, mirroring `Output::iterations`).
 static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.rounds");
-/// New facts discovered across all semi-naive rounds.
+/// New facts discovered across all fixpoint rounds.
 static OBS_DELTA_FACTS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.delta_facts");
-/// New facts per semi-naive round (the engine's termination signal).
+/// New facts per fixpoint round (the engine's termination signal).
 static OBS_DELTA_SIZE: fmt_obs::Histogram = fmt_obs::Histogram::new("queries.datalog.delta_size");
 /// Fixpoint rounds of the naive reference evaluator.
 static OBS_NAIVE_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.naive_rounds");
@@ -70,10 +71,6 @@ static OBS_NAIVE_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datal
 /// counter" the indexed engine's `queries.index.probes` is measured
 /// against.
 static OBS_SCAN_TUPLES: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.scan_tuples");
-/// Per-job fill of the fullest delta shard, as a percentage of the
-/// ideal (perfectly balanced) shard size; 100 means perfectly even.
-static OBS_SHARD_IMBALANCE: fmt_obs::Histogram =
-    fmt_obs::Histogram::new("queries.datalog.shard_imbalance");
 /// Rule×delta applications dispatched to parallel workers.
 static OBS_PAR_JOBS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.parallel_jobs");
 
@@ -740,49 +737,20 @@ impl Program {
         let strata = self.eval_strata()?;
         let mut eval_span =
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
-        let mut edb = load_edb(s);
-        let mut store = self.new_store();
-        let mut iterations = 0;
-        let mut derivations = 0u64;
-        let mut delta_history = Vec::new();
+        let mut fix = Fixpoint::new(self.clone(), load_edb(s), s.size(), AT);
+        let mut tally = Tally::default();
         for rules_in in &strata {
+            // "Delta = whole extent": every pass is an init pass over
+            // the full extents, until one adds nothing.
             loop {
-                iterations += 1;
                 OBS_NAIVE_ROUNDS.incr();
-                let mut round_span = fmt_obs::trace_span!("datalog.round", round = iterations);
-                // Candidate new tuples: only those not yet in the store.
-                let mut staged = Staged::new(self.idb_names.len());
-                for &ri in rules_in {
-                    let rule = &self.rules[ri];
-                    let mut rule_span =
-                        fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations);
-                    let plan = plan_rule(rule, None, &[], &|a| extent(&edb, &store, a.pred).len());
-                    ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
-                    let ctx = ExecCtx::new(rule, &plan, &edb, &store, &[], s.size(), AT);
-                    let known = &store[head_idb(rule)].store;
-                    let rule_derived = ctx.stage(budget, &mut staged, |t| !known.contains(t))?;
-                    derivations += rule_derived;
-                    ctx.record(&mut rule_span, rule_derived);
-                }
-                let added = staged.drain_into(&mut store, |_, _| {});
-                for r in store.iter_mut() {
-                    r.extend_indexes();
-                }
-                delta_history.push(added);
-                round_span.record_field("new", added);
-                if added == 0 {
+                let delta = fix.init(rules_in, budget, &mut tally)?;
+                if delta.iter().all(Vec::is_empty) {
                     break;
                 }
             }
         }
-        eval_span.record_field("rounds", iterations);
-        eval_span.record_field("derivations", derivations);
-        Ok(Output {
-            relations: store.into_iter().map(|r| r.store).collect(),
-            iterations,
-            derivations,
-            delta_history,
-        })
+        Ok(fix.output(tally, &mut eval_span))
     }
 
     /// Semi-naive evaluation with the indexed, join-ordered, parallel
@@ -795,18 +763,19 @@ impl Program {
     /// Semi-naive evaluation: recursive rules are re-applied with one
     /// IDB body atom restricted to the last iteration's delta, joined
     /// in greedy index-probing order, with the per-round rule×delta
-    /// applications hash-sharded across `threads` scoped workers
-    /// (`0` = automatic). Small rounds run inline — sharding only pays
-    /// once a round carries enough delta tuples.
+    /// applications split into contiguous delta chunks across `threads`
+    /// scoped workers (`0` = automatic). Small rounds keep each job's
+    /// delta whole — splitting only pays once a round carries enough
+    /// delta tuples.
     pub fn eval_seminaive_with(&self, s: &Structure, threads: usize) -> Output {
         self.try_eval_seminaive_with(s, threads, &Budget::unlimited())
             .expect("unlimited budget cannot exhaust and program must be stratifiable")
     }
 
-    /// Budgeted [`Program::eval_seminaive_with`]: every worker shard
+    /// Budgeted [`Program::eval_seminaive_with`]: every worker chunk
     /// shares `budget` (one cheap clone each), so fuel exhaustion or an
-    /// external [`Budget::cancel`] stops all shards cooperatively — the
-    /// first shard to observe exhaustion makes every other shard's next
+    /// external [`Budget::cancel`] stops all chunks cooperatively — the
+    /// first chunk to observe exhaustion makes every other chunk's next
     /// tick fail too. Programs with negation evaluate stratum by
     /// stratum (negated atoms probe the completed lower strata);
     /// unstratifiable or unsafe ones are rejected with a static
@@ -827,228 +796,16 @@ impl Program {
         } else {
             threads
         };
-        let k = self.idb_names.len();
         let mut eval_span = fmt_obs::trace_span!(
             "datalog.eval",
             engine = "indexed",
             rules = self.rules.len(),
             threads = threads
         );
-        let mut edb = load_edb(s);
-        let mut store = self.new_store();
-        let mut derivations = 0u64;
-        let mut delta_history: Vec<u64> = Vec::new();
-        let mut iterations = 0usize;
-        // Per-IDB delta as a row-id range `[start, end)` of the store:
-        // row ids are stable under append, so no tuple is ever copied
-        // into a separate delta set. Lower-stratum extents stop growing
-        // once their stratum completes, so their ranges stay empty and
-        // never spawn jobs again.
-        let mut delta: Vec<(u32, u32)> = vec![(0, 0); k];
-        // Plans are cached per (rule, delta position) for the whole
-        // evaluation; the indexes they probe are kept current by the
-        // per-round merge, so re-planning each round buys nothing.
-        let mut plans: Vec<Vec<Step>> = Vec::new();
-        let mut plan_of: HashMap<(usize, usize), usize> = HashMap::new();
-
-        for rules_in in &strata {
-            // Stratum initialization: this stratum's rules on the full
-            // extents of the completed lower strata (and the empty
-            // extents of its own heads; on a negation-free program this
-            // is exactly the old all-rules-on-empty-IDB pass). Cheap —
-            // run inline.
-            let init_span = fmt_obs::trace_span!("datalog.init");
-            let len_pre: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
-            let mut staged = Staged::new(k);
-            for &ri in rules_in {
-                let rule = &self.rules[ri];
-                let mut rule_span =
-                    fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations + 1);
-                let plan = plan_rule(rule, None, &[], &|a| extent(&edb, &store, a.pred).len());
-                ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
-                let ctx = ExecCtx::new(rule, &plan, &edb, &store, &[], s.size(), AT);
-                let staged0 = staged.elems();
-                let rule_derived = ctx.stage(budget, &mut staged, |_| true)?;
-                derivations += rule_derived;
-                ctx.record(&mut rule_span, rule_derived);
-                rule_span.record_field(
-                    "arena_bytes",
-                    ((staged.elems() - staged0) * ELEM_BYTES) as u64,
-                );
-            }
-            let initial_facts = staged.drain_into(&mut store, |_, _| {});
-            for r in store.iter_mut() {
-                r.extend_indexes();
-            }
-            drop(init_span);
-            iterations += 1;
-            OBS_ROUNDS.incr();
-            OBS_DELTA_FACTS.add(initial_facts);
-            OBS_DELTA_SIZE.record(initial_facts);
-            delta_history.push(initial_facts);
-            for (j, d) in delta.iter_mut().enumerate() {
-                *d = (len_pre[j], store[j].store.len32());
-            }
-
-            while delta.iter().any(|&(d0, d1)| d1 > d0) {
-                iterations += 1;
-                OBS_ROUNDS.incr();
-                let total_delta: usize = delta.iter().map(|&(d0, d1)| (d1 - d0) as usize).sum();
-                let mut round_span =
-                    fmt_obs::trace_span!("datalog.round", round = iterations, delta = total_delta);
-
-                // One job per (rule, positive IDB body position) with a
-                // nonempty delta; plan on first sight, then build every
-                // index the plan needs so the fan-out below can share
-                // the stores immutably. Negated atoms never drive a
-                // delta — their extents are frozen lower strata.
-                let plan_span = fmt_obs::trace_span!("datalog.plan");
-                let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-                for &ri in rules_in {
-                    let rule = &self.rules[ri];
-                    for (pos, atom) in rule.body.iter().enumerate() {
-                        if atom.negated {
-                            continue;
-                        }
-                        if let Pred::Idb(j) = atom.pred {
-                            let (d0, d1) = delta[j];
-                            if d1 == d0 {
-                                continue;
-                            }
-                            let pi = match plan_of.get(&(ri, pos)) {
-                                Some(&pi) => pi,
-                                None => {
-                                    let plan = plan_rule(rule, Some(pos), &[], &|a| {
-                                        extent(&edb, &store, a.pred).len()
-                                    });
-                                    ensure_plan_indexes(&plan, rule, &mut edb, &mut store);
-                                    plans.push(plan);
-                                    plan_of.insert((ri, pos), plans.len() - 1);
-                                    plans.len() - 1
-                                }
-                            };
-                            jobs.push((ri, pos, pi));
-                        }
-                    }
-                }
-                OBS_PAR_JOBS.add(jobs.len() as u64);
-                drop(plan_span);
-
-                // Hash-shard each job's delta row ids; small rounds stay
-                // unsharded. Row hashes come from the store's arenas — the
-                // same FNV fold the old per-tuple sharding used.
-                let shard_span = fmt_obs::trace_span!("datalog.shard");
-                let nshards = if threads == 1 || total_delta < 512 {
-                    1
-                } else {
-                    threads
-                };
-                let mut items: Vec<(usize, Vec<u32>)> = Vec::new();
-                for (ji, &(ri, pos, _)) in jobs.iter().enumerate() {
-                    let Pred::Idb(j) = self.rules[ri].body[pos].pred else {
-                        unreachable!("jobs are delta-driven")
-                    };
-                    let (d0, d1) = delta[j];
-                    if nshards == 1 {
-                        items.push((ji, (d0..d1).collect()));
-                        continue;
-                    }
-                    let st = &store[j].store;
-                    let per_shard = ((d1 - d0) as usize / nshards + 1) * 2;
-                    let mut shards: Vec<Vec<u32>> = vec![Vec::with_capacity(per_shard); nshards];
-                    for row in d0..d1 {
-                        shards[(st.row_hash(row) % nshards as u64) as usize].push(row);
-                    }
-                    let ideal = ((d1 - d0) as usize).div_ceil(nshards).max(1);
-                    let fullest = shards.iter().map(Vec::len).max().unwrap_or(0);
-                    OBS_SHARD_IMBALANCE.record((fullest * 100 / ideal) as u64);
-                    items.extend(
-                        shards
-                            .into_iter()
-                            .filter(|sh| !sh.is_empty())
-                            .map(|sh| (ji, sh)),
-                    );
-                }
-                drop(shard_span);
-
-                // Fan out; each worker stages derived tuples in flat
-                // per-IDB buffers — no per-tuple allocation anywhere in
-                // the loop, and no dedup here: `push_if_new` on merge does
-                // one hash per staged tuple, so pre-filtering against the
-                // frozen extent would only add a second hash. Results
-                // merge in item order, so the engine is deterministic for
-                // any thread count. Worker rule spans attach under this
-                // round's join span through fan_out's parent propagation.
-                let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
-                let (edb_ref, store_ref, plans_ref) = (&edb, &store, &plans);
-                let results = fan_out(threads, &items, |chunk| -> BudgetResult<_> {
-                    let mut derivs = 0u64;
-                    let mut staged = Staged::new(k);
-                    for (ji, shard) in chunk {
-                        let (ri, pos, pi) = jobs[*ji];
-                        let rule = &self.rules[ri];
-                        let mut rule_span = fmt_obs::trace_span!(
-                            "datalog.rule",
-                            rule = ri,
-                            pos = pos,
-                            round = iterations,
-                            tuples = shard.len()
-                        );
-                        let ctx = ExecCtx::new(
-                            rule,
-                            &plans_ref[pi],
-                            edb_ref,
-                            store_ref,
-                            shard,
-                            s.size(),
-                            AT,
-                        );
-                        let staged0 = staged.elems();
-                        let rule_derived = ctx.stage(budget, &mut staged, |_| true)?;
-                        derivs += rule_derived;
-                        ctx.record(&mut rule_span, rule_derived);
-                        rule_span.record_field(
-                            "arena_bytes",
-                            ((staged.elems() - staged0) * ELEM_BYTES) as u64,
-                        );
-                    }
-                    Ok((derivs, staged))
-                });
-                drop(join_span);
-
-                // Dedup: drain worker buffers in item order straight into
-                // the stores.
-                let dedup_span = fmt_obs::trace_span!("datalog.dedup");
-                let len_before: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
-                let mut new_facts = 0u64;
-                for chunk_result in results {
-                    let (derivs, staged) = chunk_result?;
-                    derivations += derivs;
-                    new_facts += staged.drain_into(&mut store, |_, _| {});
-                }
-                drop(dedup_span);
-                // Merge: indexes catch up to the appended rows, and the
-                // new delta is just the appended row-id range.
-                let merge_span = fmt_obs::trace_span!("datalog.merge");
-                for (j, d) in delta.iter_mut().enumerate() {
-                    store[j].extend_indexes();
-                    *d = (len_before[j], store[j].store.len32());
-                }
-                drop(merge_span);
-                OBS_DELTA_FACTS.add(new_facts);
-                OBS_DELTA_SIZE.record(new_facts);
-                delta_history.push(new_facts);
-                round_span.record_field("new", new_facts);
-            }
-        }
-        eval_span.record_field("rounds", iterations);
-        eval_span.record_field("derivations", derivations);
-        Ok(Output {
-            relations: store.into_iter().map(|r| r.store).collect(),
-            iterations,
-            derivations,
-            delta_history,
-        })
+        let mut fix = Fixpoint::new(self.clone(), load_edb(s), s.size(), AT);
+        fix.threads = threads;
+        let tally = fix.evaluate(&strata, budget)?;
+        Ok(fix.output(tally, &mut eval_span))
     }
 
     /// Semi-naive evaluation by the original written-order nested-loop
@@ -1417,7 +1174,7 @@ fn load_edb(s: &Structure) -> Vec<IdbStore> {
 }
 
 /// The store holding `pred`'s extent.
-pub(crate) fn extent<'a>(edb: &'a [IdbStore], idb: &'a [IdbStore], pred: Pred) -> &'a IdbStore {
+fn extent<'a>(edb: &'a [IdbStore], idb: &'a [IdbStore], pred: Pred) -> &'a IdbStore {
     match pred {
         Pred::Edb(r) => &edb[r.0],
         Pred::Idb(j) => &idb[j],
@@ -1430,20 +1187,20 @@ pub(crate) fn extent<'a>(edb: &'a [IdbStore], idb: &'a [IdbStore], pred: Pred) -
 /// insert and the arena append in one step. The counts carry nullary
 /// facts, whose rows occupy no bytes.
 #[derive(Debug)]
-pub(crate) struct Staged {
+struct Staged {
     bufs: Vec<Vec<Elem>>,
     counts: Vec<usize>,
 }
 
 impl Staged {
-    pub(crate) fn new(num_idbs: usize) -> Staged {
+    fn new(num_idbs: usize) -> Staged {
         Staged {
             bufs: vec![Vec::new(); num_idbs],
             counts: vec![0; num_idbs],
         }
     }
 
-    pub(crate) fn push(&mut self, idb: usize, t: &[Elem]) {
+    fn push(&mut self, idb: usize, t: &[Elem]) {
         self.bufs[idb].extend_from_slice(t);
         self.counts[idb] += 1;
     }
@@ -1455,23 +1212,322 @@ impl Staged {
 
     /// Appends every staged tuple not already live in its store, in
     /// staging order, calling `fresh(idb, row)` for each new (or
-    /// revived) row. Returns the number of new rows.
-    pub(crate) fn drain_into(
-        self,
-        stores: &mut [IdbStore],
-        mut fresh: impl FnMut(usize, u32),
-    ) -> u64 {
-        let mut added = 0u64;
+    /// revived) row.
+    fn drain_into(self, stores: &mut [IdbStore], mut fresh: impl FnMut(usize, u32)) {
         for (j, (buf, cnt)) in self.bufs.iter().zip(self.counts).enumerate() {
             let a = stores[j].store.arity();
             for i in 0..cnt {
                 if let Some(row) = stores[j].store.push_if_new(&buf[i * a..(i + 1) * a]) {
                     fresh(j, row);
-                    added += 1;
                 }
             }
         }
-        added
+    }
+}
+
+/// The delta row ids of `pred`.
+pub(crate) fn delta_of<'d>(
+    edb_delta: &'d [Vec<u32>],
+    idb_delta: &'d [Vec<u32>],
+    pred: Pred,
+) -> &'d [u32] {
+    match pred {
+        Pred::Edb(r) => &edb_delta[r.0],
+        Pred::Idb(j) => &idb_delta[j],
+    }
+}
+
+/// Key of the fixpoint's plan cache. Init-pass plans are not cached:
+/// each init pass plans against the extents it starts from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PlanKey {
+    /// Delta-driven: body position `pos` iterates the delta rows.
+    Driver { rule: usize, pos: usize },
+    /// No driver, head variables pre-bound: the DRed remaining-support
+    /// check.
+    Goal { rule: usize },
+}
+
+/// Work counters of a fixpoint run, in [`Output`]'s terms.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    pub(crate) iterations: usize,
+    pub(crate) derivations: u64,
+    pub(crate) delta_history: Vec<u64>,
+}
+
+/// The semi-naive fixpoint of one program over its EDB and IDB stores:
+/// the one init pass and the one round loop behind the naive and batch
+/// engines and the incremental runtime, and the plan cache they share.
+/// Deltas are per-predicate lists of row ids, filled as the staged
+/// tuples drain into the stores.
+#[derive(Debug)]
+pub(crate) struct Fixpoint {
+    pub(crate) program: Program,
+    pub(crate) edb: Vec<IdbStore>,
+    pub(crate) idb: Vec<IdbStore>,
+    plans: Vec<Vec<Step>>,
+    plan_of: HashMap<PlanKey, usize>,
+    /// Unbound head variables range over `0..domain`.
+    pub(crate) domain: u32,
+    /// Worker threads of the round loop (1 = inline).
+    pub(crate) threads: usize,
+    /// Budget tick site label.
+    at: &'static str,
+}
+
+impl Fixpoint {
+    /// The fixpoint state over `edb` with empty IDB stores.
+    pub(crate) fn new(program: Program, edb: Vec<IdbStore>, domain: u32, at: &'static str) -> Self {
+        Fixpoint {
+            idb: program.new_store(),
+            program,
+            edb,
+            plans: Vec::new(),
+            plan_of: HashMap::new(),
+            domain,
+            threads: 1,
+            at,
+        }
+    }
+
+    /// Empties the IDB stores and the plan cache: the state batch
+    /// evaluation starts from.
+    pub(crate) fn clear_idb(&mut self) {
+        self.idb = self.program.new_store();
+        self.plans.clear();
+        self.plan_of.clear();
+    }
+
+    /// Batch evaluation: per stratum, the init pass, then the round
+    /// loop driven by the rows it added.
+    pub(crate) fn evaluate(
+        &mut self,
+        strata: &[Vec<usize>],
+        budget: &Budget,
+    ) -> BudgetResult<Tally> {
+        let mut tally = Tally::default();
+        for rules_in in strata {
+            let delta = self.init(rules_in, budget, &mut tally)?;
+            let no_edb_delta = vec![Vec::new(); self.edb.len()];
+            self.rounds(rules_in, no_edb_delta, delta, budget, &mut tally)?;
+        }
+        Ok(tally)
+    }
+
+    /// The init pass: every rule of `rules_in`, planned with no driver
+    /// over the current extents and staged, then everything drained
+    /// once. Returns the new rows per IDB.
+    fn init(
+        &mut self,
+        rules_in: &[usize],
+        budget: &Budget,
+        tally: &mut Tally,
+    ) -> BudgetResult<Vec<Vec<u32>>> {
+        let _span = fmt_obs::trace_span!("datalog.init");
+        let round = tally.iterations + 1;
+        let mut staged = Staged::new(self.idb.len());
+        for &ri in rules_in {
+            let rule = &self.program.rules[ri];
+            let mut rule_span = fmt_obs::trace_span!("datalog.rule", rule = ri, round = round);
+            let plan = plan_rule(rule, None, &[], &|a| {
+                extent(&self.edb, &self.idb, a.pred).len()
+            });
+            ensure_plan_indexes(&plan, rule, &mut self.edb, &mut self.idb);
+            let ctx = ExecCtx::new(rule, &plan, &self.edb, &self.idb, &[], self.domain, self.at);
+            tally.derivations += ctx.stage(budget, &mut staged, &mut rule_span)?;
+        }
+        self.merge(vec![Ok((0, staged))], tally)
+    }
+
+    /// The semi-naive round loop, run until every delta is empty. Each
+    /// round has one job per `(rule, positive body position)` of
+    /// `rules_in` whose delta is nonempty; EDB deltas drive the first
+    /// round only. Each job's delta is split into contiguous chunks
+    /// that fan out over the worker threads, and the results merge in
+    /// item order — so rows land in the same order at any thread
+    /// count.
+    pub(crate) fn rounds(
+        &mut self,
+        rules_in: &[usize],
+        mut edb_delta: Vec<Vec<u32>>,
+        mut idb_delta: Vec<Vec<u32>>,
+        budget: &Budget,
+        tally: &mut Tally,
+    ) -> BudgetResult<()> {
+        loop {
+            let total: usize = edb_delta.iter().chain(&idb_delta).map(Vec::len).sum();
+            if total == 0 {
+                return Ok(());
+            }
+            let round = tally.iterations + 1;
+            let mut round_span =
+                fmt_obs::trace_span!("datalog.round", round = round, delta = total);
+            let plan_span = fmt_obs::trace_span!("datalog.plan");
+            let jobs = self.jobs(rules_in, &edb_delta, &idb_delta);
+            OBS_PAR_JOBS.add(jobs.len() as u64);
+            drop(plan_span);
+
+            // Small rounds stay whole: splitting only pays once a round
+            // carries enough delta rows.
+            let shard_span = fmt_obs::trace_span!("datalog.shard");
+            let threads = self.threads;
+            let nchunks = if threads == 1 || total < 512 {
+                1
+            } else {
+                threads
+            };
+            let mut items: Vec<(usize, &[u32])> = Vec::new();
+            for (ji, &(ri, pos, _)) in jobs.iter().enumerate() {
+                let rows = delta_of(
+                    &edb_delta,
+                    &idb_delta,
+                    self.program.rules[ri].body[pos].pred,
+                );
+                items.extend(rows.chunks(rows.len().div_ceil(nchunks)).map(|c| (ji, c)));
+            }
+            drop(shard_span);
+
+            // Workers stage derived tuples in flat per-IDB buffers and
+            // never dedup: `push_if_new` in the merge does one hash per
+            // staged tuple, so pre-filtering against the frozen extent
+            // would only add a second hash. Worker rule spans attach
+            // under the join span through fan_out's parent propagation.
+            let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
+            let this = &*self;
+            let results = fan_out(threads, &items, |chunk| {
+                let mut derived = 0u64;
+                let mut staged = Staged::new(this.idb.len());
+                for &(ji, rows) in chunk {
+                    let (ri, pos, pi) = jobs[ji];
+                    let mut rule_span = fmt_obs::trace_span!(
+                        "datalog.rule",
+                        rule = ri,
+                        pos = pos,
+                        round = round,
+                        tuples = rows.len()
+                    );
+                    let ctx = this.kernel(ri, pi, rows);
+                    derived += ctx.stage(budget, &mut staged, &mut rule_span)?;
+                }
+                Ok((derived, staged))
+            });
+            drop(join_span);
+            idb_delta = self.merge(results, tally)?;
+            edb_delta.iter_mut().for_each(Vec::clear);
+            round_span.record_field("new", tally.delta_history.last().copied().unwrap_or(0));
+        }
+    }
+
+    /// Drains staged results into the IDB stores in item order, then
+    /// catches the indexes up and closes the round (an init pass counts
+    /// as one). Returns the new (or revived) rows per IDB: the next
+    /// round's deltas.
+    fn merge(
+        &mut self,
+        results: Vec<BudgetResult<(u64, Staged)>>,
+        tally: &mut Tally,
+    ) -> BudgetResult<Vec<Vec<u32>>> {
+        let dedup_span = fmt_obs::trace_span!("datalog.dedup");
+        let results = results.into_iter().collect::<BudgetResult<Vec<_>>>()?;
+        // At most one delta row per staged tuple: one allocation per IDB.
+        let mut delta: Vec<Vec<u32>> = (0..self.idb.len())
+            .map(|j| Vec::with_capacity(results.iter().map(|(_, s)| s.counts[j]).sum()))
+            .collect();
+        for (derived, staged) in results {
+            tally.derivations += derived;
+            staged.drain_into(&mut self.idb, |j, row| delta[j].push(row));
+        }
+        drop(dedup_span);
+        let _merge_span = fmt_obs::trace_span!("datalog.merge");
+        for r in &mut self.idb {
+            r.extend_indexes();
+        }
+        let new: u64 = delta.iter().map(|d| d.len() as u64).sum();
+        tally.iterations += 1;
+        tally.delta_history.push(new);
+        OBS_ROUNDS.incr();
+        OBS_DELTA_FACTS.add(new);
+        OBS_DELTA_SIZE.record(new);
+        Ok(delta)
+    }
+
+    /// One job `(rule, pos, plan)` per positive body position `pos` of
+    /// a rule of `rules_in` whose delta is nonempty. Negated atoms never
+    /// drive: their extents are complete lower strata.
+    pub(crate) fn jobs(
+        &mut self,
+        rules_in: &[usize],
+        edb_delta: &[Vec<u32>],
+        idb_delta: &[Vec<u32>],
+    ) -> Vec<(usize, usize, usize)> {
+        let mut jobs = Vec::new();
+        for &rule in rules_in {
+            for pos in 0..self.program.rules[rule].body.len() {
+                let atom = &self.program.rules[rule].body[pos];
+                if !atom.negated && !delta_of(edb_delta, idb_delta, atom.pred).is_empty() {
+                    jobs.push((rule, pos, self.plan(PlanKey::Driver { rule, pos })));
+                }
+            }
+        }
+        jobs
+    }
+
+    /// Plan-cache lookup, planning on first sight; either way every
+    /// index the plan probes is built or caught up.
+    pub(crate) fn plan(&mut self, key: PlanKey) -> usize {
+        let (ri, driver) = match key {
+            PlanKey::Driver { rule, pos } => (rule, Some(pos)),
+            PlanKey::Goal { rule } => (rule, None),
+        };
+        let rule = &self.program.rules[ri];
+        let pi = match self.plan_of.get(&key) {
+            Some(&pi) => pi,
+            None => {
+                let mut pre_bound = vec![false; rule_num_vars(rule)];
+                if matches!(key, PlanKey::Goal { .. }) {
+                    for &v in &rule.head.args {
+                        pre_bound[v as usize] = true;
+                    }
+                }
+                let (edb, idb) = (&self.edb, &self.idb);
+                let plan = plan_rule(rule, driver, &pre_bound, &|a| {
+                    extent(edb, idb, a.pred).len()
+                });
+                self.plans.push(plan);
+                self.plan_of.insert(key, self.plans.len() - 1);
+                self.plans.len() - 1
+            }
+        };
+        ensure_plan_indexes(&self.plans[pi], rule, &mut self.edb, &mut self.idb);
+        pi
+    }
+
+    /// The join kernel for rule `ri` under cached plan `pi`, driven by
+    /// `driver` rows.
+    pub(crate) fn kernel<'a>(&'a self, ri: usize, pi: usize, driver: &'a [u32]) -> ExecCtx<'a> {
+        ExecCtx::new(
+            &self.program.rules[ri],
+            &self.plans[pi],
+            &self.edb,
+            &self.idb,
+            driver,
+            self.domain,
+            self.at,
+        )
+    }
+
+    /// The evaluation's [`Output`], with its totals recorded on the
+    /// `datalog.eval` span.
+    fn output(self, tally: Tally, eval_span: &mut fmt_obs::trace::SpanGuard) -> Output {
+        eval_span.record_field("rounds", tally.iterations);
+        eval_span.record_field("derivations", tally.derivations);
+        Output {
+            relations: self.idb.into_iter().map(|r| r.store).collect(),
+            iterations: tally.iterations,
+            derivations: tally.derivations,
+            delta_history: tally.delta_history,
+        }
     }
 }
 
@@ -1611,12 +1667,7 @@ pub(crate) fn plan_rule(
 
 /// Builds (or catches up) every index a plan will probe, so execution
 /// can share the stores immutably (and across worker threads).
-pub(crate) fn ensure_plan_indexes(
-    plan: &[Step],
-    rule: &Rule,
-    edb: &mut [IdbStore],
-    idb: &mut [IdbStore],
-) {
+fn ensure_plan_indexes(plan: &[Step], rule: &Rule, edb: &mut [IdbStore], idb: &mut [IdbStore]) {
     for step in plan {
         if let Access::Probe(key) = &step.access {
             match rule.body[step.atom].pred {
@@ -1695,7 +1746,7 @@ pub(crate) struct ExecCtx<'a> {
     plan: &'a [Step],
     edb: &'a [IdbStore],
     idb: &'a [IdbStore],
-    /// Row ids for the `ScanDelta` step (a shard, or everything),
+    /// Row ids for the `ScanDelta` step (a delta chunk, or all of it),
     /// indexing into the driven predicate's store.
     driver: &'a [u32],
     /// Unbound head variables range over `0..domain`.
@@ -1714,7 +1765,7 @@ pub(crate) struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    pub(crate) fn new(
+    fn new(
         rule: &'a Rule,
         plan: &'a [Step],
         edb: &'a [IdbStore],
@@ -1749,37 +1800,31 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Runs the whole plan from an empty binding, staging every emitted
-    /// head tuple that `keep` accepts. Returns the derivations:
-    /// emissions, duplicates included.
-    pub(crate) fn stage(
+    /// head tuple, and records on the rule's `span`
+    /// the work fields `fmtk datalog --explain` reads plus the arena
+    /// bytes staged. Returns the derivations: emissions, duplicates
+    /// included.
+    fn stage(
         &self,
         budget: &Budget,
         staged: &mut Staged,
-        keep: impl Fn(&[Elem]) -> bool,
+        span: &mut fmt_obs::trace::SpanGuard,
     ) -> BudgetResult<u64> {
         let head = head_idb(self.rule);
+        let staged0 = staged.elems();
         let mut derived = 0u64;
         let mut binding = vec![None; rule_num_vars(self.rule)];
         self.run(&mut binding, budget, &mut |t| {
             derived += 1;
-            if keep(t) {
-                staged.push(head, t);
-            }
+            staged.push(head, t);
             true
         })?;
-        Ok(derived)
-    }
-
-    /// Attaches the per-rule work fields `fmtk datalog --explain` reads
-    /// to a rule span.
-    fn record(&self, span: &mut fmt_obs::trace::SpanGuard, derived: u64) {
         span.record_field("probes", self.probes.get());
         span.record_field("derived", derived);
         span.record_field("probe_allocs", self.probe_allocs.get());
-    }
-
-    fn rel(&self, pred: Pred) -> &'a IdbStore {
-        extent(self.edb, self.idb, pred)
+        let bytes = (staged.elems() - staged0) * ELEM_BYTES;
+        span.record_field("arena_bytes", bytes as u64);
+        Ok(derived)
     }
 }
 
@@ -1945,7 +1990,7 @@ fn exec(
     }
     let step = &ctx.plan[step_i];
     let atom = &ctx.rule.body[step.atom];
-    let rel = ctx.rel(atom.pred);
+    let rel = extent(ctx.edb, ctx.idb, atom.pred);
     let st = &rel.store;
     match &step.access {
         Access::NegCheck => {
@@ -2054,6 +2099,7 @@ mod tests {
                     "join order changes no emissions"
                 );
                 assert_eq!(b.delta_history, c.delta_history);
+                assert_eq!(a.delta_history, b.delta_history);
             }
         }
     }
@@ -2076,6 +2122,21 @@ mod tests {
             assert_eq!(reference.derivations, out.derivations);
             assert_eq!(reference.delta_history, out.delta_history);
         }
+    }
+
+    #[test]
+    fn split_rounds_keep_row_order_at_any_thread_count() {
+        // 1022 edges: the first rounds carry more delta rows than the
+        // 512-row split threshold, so 3 threads really split them.
+        let prog = Program::transitive_closure();
+        let s = builders::full_binary_tree(9);
+        let rows = |threads| -> Vec<Vec<Elem>> {
+            prog.eval_seminaive_with(&s, threads)
+                .relation(0)
+                .iter()
+                .collect()
+        };
+        assert_eq!(rows(3), rows(1));
     }
 
     #[test]

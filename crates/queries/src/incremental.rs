@@ -25,9 +25,11 @@
 //! index is rebuilt on the maintenance path (compaction, which does
 //! invalidate ids, runs only between polls once tombstones dominate).
 //!
-//! Planning and joining are not the runtime's own: every plan comes
-//! from the batch engines' planner and every join runs in their kernel
-//! (both in [`crate::datalog`]), over the runtime's EDB and IDB stores.
+//! The fixpoint itself is not the runtime's own: its stores live in
+//! the batch engines' fixpoint state (in [`crate::datalog`]), so the
+//! first poll *is* batch evaluation over the runtime's stores, and
+//! insertions and revivals feed the same semi-naive round loop. The
+//! over-deletion pass shares that loop's job enumeration and kernel.
 //! The support check is the planner's goal shape — head variables
 //! pre-bound — with an emit sink that stops the join at the first
 //! witness.
@@ -36,15 +38,14 @@
 //! runtime remembers this and the next poll falls back to a
 //! from-scratch rebuild, so exhaustion is recoverable and — for a fixed
 //! operation sequence at one thread — deterministic. Work is metered
-//! under `queries.incr.*` and traced as `datalog.incr.*` spans.
+//! under `queries.incr.*`; the shared loop opens the batch `datalog.*`
+//! spans under the runtime's `datalog.incr.*` ones.
 
 use crate::datalog::{
-    ensure_plan_indexes, extent, head_idb, plan_rule, rule_num_vars, ExecCtx, IdbStore, Pred,
-    Program, Staged, Step,
+    delta_of, head_idb, rule_num_vars, Fixpoint, IdbStore, PlanKey, Pred, Program, Tally,
 };
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
-use fmt_structures::par::fan_out;
 use fmt_structures::store::TupleStore;
 use fmt_structures::{Elem, RelId, Structure};
 use std::collections::HashMap;
@@ -64,24 +65,10 @@ static OBS_DERIVED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.deriv
 static OBS_OVERDELETED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.overdeleted");
 /// Over-deleted facts revived by the direct remaining-support check.
 static OBS_REDERIVED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rederived");
-/// Delta propagation rounds across all polls.
+/// Semi-naive rounds across all polls (see [`PollStats::rounds`]).
 static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rounds");
 /// From-scratch rebuilds (first poll, or recovery after exhaustion).
 static OBS_REBUILDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rebuilds");
-
-/// Key of the runtime's plan cache: the batch engine's per-(rule, pos)
-/// driver shape, plus the two driverless shapes the maintenance loop
-/// needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PlanKey {
-    /// Delta-driven: body position `pos` iterates the delta rows.
-    Driver { rule: usize, pos: usize },
-    /// No driver, nothing pre-bound: the rebuild initialization pass.
-    Init { rule: usize },
-    /// No driver, head variables pre-bound: the DRed remaining-support
-    /// check.
-    Goal { rule: usize },
-}
 
 /// What one [`DatalogRuntime::poll`] did, in fact counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,7 +83,10 @@ pub struct PollStats {
     pub overdeleted: u64,
     /// Over-deleted facts revived by the direct support check.
     pub rederived: u64,
-    /// Delta propagation rounds run.
+    /// Semi-naive rounds run. A rebuild counts them as
+    /// [`crate::datalog::Output::iterations`] does (the init pass is
+    /// one); maintenance counts over-deletion rounds plus propagation
+    /// rounds, each a round with a nonempty delta.
     pub rounds: u64,
     /// `true` if this poll recomputed from scratch (first poll, or
     /// recovery after a budget-exhausted poll).
@@ -155,17 +145,13 @@ impl std::error::Error for UnsupportedNegation {}
 /// ```
 #[derive(Debug)]
 pub struct DatalogRuntime {
-    program: Program,
-    domain: u32,
-    threads: usize,
-    /// One columnar extent per signature relation, indexed by `RelId.0`.
-    edb: Vec<IdbStore>,
-    /// One columnar extent per IDB predicate.
-    idb: Vec<IdbStore>,
+    /// The program, its EDB stores (one per signature relation, indexed
+    /// by `RelId.0`), its IDB stores and the plan cache.
+    fix: Fixpoint,
+    /// Every rule index: the runtime's one stratum.
+    all_rules: Vec<usize>,
     /// Rule indices grouped by head IDB (the rederivation worklist).
     rules_by_head: Vec<Vec<usize>>,
-    plans: Vec<Vec<Step>>,
-    plan_of: HashMap<PlanKey, usize>,
     pending: Vec<PendingOp>,
     /// `true` while the materialization may not match the fact base: on
     /// creation, and after a budget-exhausted poll left the stores
@@ -194,27 +180,19 @@ impl DatalogRuntime {
                 }
             }
         }
-        let sig = program.signature().clone();
-        let edb = sig
+        let edb = program
+            .signature()
             .relations()
             .map(|(_, _, arity)| IdbStore::new(arity))
-            .collect();
-        let idb = (0..program.num_idbs())
-            .map(|j| IdbStore::new(program.idb_info(j).1))
             .collect();
         let mut rules_by_head = vec![Vec::new(); program.num_idbs()];
         for (ri, rule) in program.rules().iter().enumerate() {
             rules_by_head[head_idb(rule)].push(ri);
         }
         Ok(DatalogRuntime {
-            program,
-            domain: domain_size,
-            threads: 1,
-            edb,
-            idb,
+            all_rules: (0..program.rules().len()).collect(),
+            fix: Fixpoint::new(program, edb, domain_size, AT),
             rules_by_head,
-            plans: Vec::new(),
-            plan_of: HashMap::new(),
             pending: Vec::new(),
             dirty: true,
         })
@@ -244,24 +222,24 @@ impl DatalogRuntime {
 
     /// The program being maintained.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.fix.program
     }
 
     /// The domain size `n` fixed at construction.
     pub fn domain_size(&self) -> u32 {
-        self.domain
+        self.fix.domain
     }
 
-    /// Worker threads used by insertion propagation (1 = inline).
+    /// Worker threads used by the round loop (1 = inline).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.fix.threads
     }
 
     /// Sets the worker-thread count (0 is clamped to 1). The result of
     /// a poll is deterministic for any thread count; budget exhaustion
     /// points are deterministic at one thread.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.fix.threads = threads.max(1);
     }
 
     /// Queued updates not yet applied by a poll.
@@ -297,14 +275,14 @@ impl DatalogRuntime {
     fn check_fact(&self, rel: RelId, t: &[Elem]) {
         assert_eq!(
             t.len(),
-            self.program.signature().arity(rel),
+            self.program().signature().arity(rel),
             "tuple arity must match relation {}",
-            self.program.signature().relation_name(rel)
+            self.program().signature().relation_name(rel)
         );
         assert!(
-            t.iter().all(|&v| v < self.domain),
+            t.iter().all(|&v| v < self.domain_size()),
             "tuple values must lie in the domain 0..{}",
-            self.domain
+            self.domain_size()
         );
     }
 
@@ -313,13 +291,13 @@ impl DatalogRuntime {
     /// only under [`TupleStore::iter`]/[`PartialEq`]; tombstoned rows
     /// may linger in the arenas until compaction.
     pub fn query(&self, idb: usize) -> &TupleStore {
-        &self.idb[idb].store
+        &self.fix.idb[idb].store
     }
 
     /// The current extent of EDB relation `rel` (as of the last
     /// successful poll).
     pub fn edb(&self, rel: RelId) -> &TupleStore {
-        &self.edb[rel.0].store
+        &self.fix.edb[rel.0].store
     }
 
     /// Applies all pending updates and restores the fixpoint,
@@ -337,32 +315,36 @@ impl DatalogRuntime {
         let mut span = fmt_obs::trace_span!("datalog.incr.poll", pending = self.pending.len());
         // Net effect of the queue: the last op per (relation, tuple)
         // wins, in first-occurrence order for determinism.
-        let mut order: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        let mut last: HashMap<(usize, Vec<Elem>), bool> = HashMap::new();
+        let mut net: Vec<PendingOp> = Vec::new();
+        let mut slot: HashMap<(usize, &[Elem]), usize> = HashMap::new();
         for (add, rel, t) in &self.pending {
-            let key = (rel.0, t.clone());
-            if !last.contains_key(&key) {
-                order.push((*rel, t.clone()));
-            }
-            last.insert(key, *add);
+            let i = *slot.entry((rel.0, t)).or_insert_with(|| {
+                net.push((*add, *rel, t.clone()));
+                net.len() - 1
+            });
+            net[i].0 = *add;
         }
 
         let mut stats = PollStats::default();
         let was_dirty = self.dirty;
         self.dirty = true; // until this poll completes
-        if was_dirty {
-            self.rebuild(&order, &last, budget, &mut stats)?;
+        let tally = if was_dirty {
+            self.rebuild(&net, budget, &mut stats)?
         } else {
-            self.maintain(&order, &last, budget, &mut stats)?;
-        }
+            self.maintain(&net, budget, &mut stats)?
+        };
+        stats.rounds += tally.iterations as u64;
+        stats.derived = tally.delta_history.iter().sum();
         self.pending.clear();
         self.dirty = false;
-        for r in self.edb.iter_mut().chain(self.idb.iter_mut()) {
+        for r in self.fix.edb.iter_mut().chain(self.fix.idb.iter_mut()) {
             compact_if_mostly_dead(r);
         }
         OBS_POLLS.incr();
         OBS_INSERTED.add(stats.inserted);
         OBS_RETRACTED.add(stats.retracted);
+        OBS_DERIVED.add(stats.derived);
+        OBS_ROUNDS.add(stats.rounds);
         span.record_field("inserted", stats.inserted);
         span.record_field("retracted", stats.retracted);
         span.record_field("derived", stats.derived);
@@ -371,101 +353,67 @@ impl DatalogRuntime {
         Ok(stats)
     }
 
-    /// From-scratch path: apply the net updates to the EDB, clear the
-    /// IDB, run the batch-style initialization pass, then propagate.
+    /// From-scratch path: apply the net updates to the EDB, then run
+    /// batch evaluation over the runtime's stores.
     fn rebuild(
         &mut self,
-        order: &[(RelId, Vec<Elem>)],
-        last: &HashMap<(usize, Vec<Elem>), bool>,
+        net: &[PendingOp],
         budget: &Budget,
         stats: &mut PollStats,
-    ) -> BudgetResult<()> {
+    ) -> BudgetResult<Tally> {
         OBS_REBUILDS.incr();
         stats.rebuilt = true;
-        for (rel, t) in order {
-            if last[&(rel.0, t.clone())] {
-                if self.edb[rel.0].store.push_if_new(t).is_some() {
+        for (add, rel, t) in net {
+            let store = &mut self.fix.edb[rel.0].store;
+            if *add {
+                if store.push_if_new(t).is_some() {
                     stats.inserted += 1;
                 }
-            } else if self.edb[rel.0].store.remove(t).is_some() {
+            } else if store.remove(t).is_some() {
                 stats.retracted += 1;
             }
         }
-        for r in &mut self.edb {
-            r.extend_indexes();
-        }
-        for (j, r) in self.idb.iter_mut().enumerate() {
-            *r = IdbStore::new(self.program.idb_info(j).1);
-        }
-        // Goal/driver plans survive (access shapes stay valid); any
-        // index they reference is re-created lazily by ensure_indexes.
-        let span = fmt_obs::trace_span!("datalog.incr.init");
-        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-        for ri in 0..self.program.rules().len() {
-            // Each rule's output lands before the next rule is planned,
-            // so later init rules already join against it.
-            let pi = self.plan_for(PlanKey::Init { rule: ri });
-            let mut staged = Staged::new(self.idb.len());
-            self.kernel(ri, pi, &[])
-                .stage(budget, &mut staged, |_| true)?;
-            stats.derived += staged.drain_into(&mut self.idb, |j, row| idb_delta[j].push(row));
-        }
-        for r in &mut self.idb {
-            r.extend_indexes();
-        }
-        drop(span);
-        OBS_DERIVED.add(stats.derived);
-        let edb_delta = vec![Vec::new(); self.edb.len()];
-        // The init pass joined full EDB extents already, so only IDB
-        // deltas need driving — but rules with *only* EDB bodies fired
-        // completely during init too, which is exactly why the EDB
-        // delta is empty here.
-        self.propagate(edb_delta, idb_delta, budget, stats)
+        self.fix.clear_idb();
+        let strata = std::slice::from_ref(&self.all_rules);
+        self.fix.evaluate(strata, budget)
     }
 
     /// Incremental path: DRed retraction (overdelete, tombstone,
-    /// rederive), then delta-rewritten insertion, then one shared
-    /// propagation to the new fixpoint.
+    /// rederive), then the round loop driven by the inserted EDB rows
+    /// and the revived IDB rows.
     fn maintain(
         &mut self,
-        order: &[(RelId, Vec<Elem>)],
-        last: &HashMap<(usize, Vec<Elem>), bool>,
+        net: &[PendingOp],
         budget: &Budget,
         stats: &mut PollStats,
-    ) -> BudgetResult<()> {
-        let mut to_retract: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        let mut to_insert: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        for (rel, t) in order {
-            let add = last[&(rel.0, t.clone())];
-            let present = self.edb[rel.0].store.contains(t);
-            if add && !present {
-                to_insert.push((*rel, t.clone()));
-            } else if !add && present {
-                to_retract.push((*rel, t.clone()));
-            }
-        }
-
-        let mut revived_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
+    ) -> BudgetResult<Tally> {
+        let to_retract: Vec<(RelId, Vec<Elem>)> = net
+            .iter()
+            .filter(|(add, rel, t)| !add && self.fix.edb[rel.0].store.contains(t))
+            .map(|(_, rel, t)| (*rel, t.clone()))
+            .collect();
+        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fix.idb.len()];
         if !to_retract.is_empty() {
             let over = self.overdelete(&to_retract, budget, stats)?;
-            self.rederive(&over, &mut revived_delta, budget, stats)?;
+            idb_delta = self.rederive(&over, budget, stats)?;
         }
 
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.edb.len()];
-        if !to_insert.is_empty() {
-            let span = fmt_obs::trace_span!("datalog.incr.insert", facts = to_insert.len());
-            for (rel, t) in &to_insert {
-                if let Some(row) = self.edb[rel.0].store.push_if_new(t) {
-                    edb_delta[rel.0].push(row);
-                    stats.inserted += 1;
-                }
+        // Insertions of present tuples are no-ops: `push_if_new` skips
+        // them.
+        let mut span = fmt_obs::trace_span!("datalog.incr.insert");
+        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fix.edb.len()];
+        for (_, rel, t) in net.iter().filter(|op| op.0) {
+            if let Some(row) = self.fix.edb[rel.0].store.push_if_new(t) {
+                edb_delta[rel.0].push(row);
+                stats.inserted += 1;
             }
-            for r in &mut self.edb {
-                r.extend_indexes();
-            }
-            drop(span);
         }
-        self.propagate(edb_delta, revived_delta, budget, stats)
+        span.record_field("facts", stats.inserted);
+        drop(span);
+        let mut tally = Tally::default();
+        self.fix
+            .rounds(&self.all_rules, edb_delta, idb_delta, budget, &mut tally)?;
+        Ok(tally)
     }
 
     /// DRed phase one: semi-naive over-deletion against the
@@ -478,38 +426,36 @@ impl DatalogRuntime {
         stats: &mut PollStats,
     ) -> BudgetResult<Vec<Vec<u32>>> {
         let mut span = fmt_obs::trace_span!("datalog.incr.retract", facts = to_retract.len());
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.edb.len()];
+        let k = self.fix.idb.len();
+        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fix.edb.len()];
         for (rel, t) in to_retract {
-            let row = self.edb[rel.0]
+            let row = self.fix.edb[rel.0]
                 .store
                 .find(t)
                 .expect("to_retract holds present tuples");
             edb_delta[rel.0].push(row);
         }
-        let mut over: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
+        let mut over: Vec<Vec<u32>> = vec![Vec::new(); k];
         let mut marked: Vec<Vec<bool>> = self
+            .fix
             .idb
             .iter()
             .map(|r| vec![false; r.store.rows32() as usize])
             .collect();
-        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-        loop {
+        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); k];
+        while edb_delta.iter().chain(&idb_delta).any(|d| !d.is_empty()) {
             stats.rounds += 1;
-            OBS_ROUNDS.incr();
-            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
-            if jobs.is_empty() {
-                break;
-            }
-            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
+            let jobs = self.fix.jobs(&self.all_rules, &edb_delta, &idb_delta);
+            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); k];
             for &(ri, pos, pi) in &jobs {
-                let rule = &self.program.rules()[ri];
+                let rule = &self.fix.program.rules()[ri];
                 let driver = delta_of(&edb_delta, &idb_delta, rule.body[pos].pred);
                 let h = head_idb(rule);
-                let head_store = &self.idb[h].store;
-                let marks = &mut marked[h];
-                let fresh = &mut next_delta[h];
+                let head_store = &self.fix.idb[h].store;
+                let (marks, fresh, all) = (&mut marked[h], &mut next_delta[h], &mut over[h]);
                 let mut binding = vec![None; rule_num_vars(rule)];
-                self.kernel(ri, pi, driver)
+                self.fix
+                    .kernel(ri, pi, driver)
                     .run(&mut binding, budget, &mut |t| {
                         // Every emitted head had a derivation over the old
                         // extents, so it is in the old fixpoint; mark it
@@ -518,34 +464,25 @@ impl DatalogRuntime {
                             if !marks[row as usize] {
                                 marks[row as usize] = true;
                                 fresh.push(row);
+                                all.push(row);
                             }
                         }
                         true
                     })?;
             }
-            for r in &mut edb_delta {
-                r.clear();
-            }
-            let mut any = false;
-            for (j, fresh) in next_delta.iter_mut().enumerate() {
-                any |= !fresh.is_empty();
-                over[j].extend_from_slice(fresh);
-            }
+            edb_delta.iter_mut().for_each(Vec::clear);
             idb_delta = next_delta;
-            if !any {
-                break;
-            }
         }
         // Mutate only now that the over-deletion fixpoint is done: the
         // passes above must join against the *pre-deletion* extents.
         for (rel, t) in to_retract {
-            if self.edb[rel.0].store.remove(t).is_some() {
+            if self.fix.edb[rel.0].store.remove(t).is_some() {
                 stats.retracted += 1;
             }
         }
         for (j, rows) in over.iter().enumerate() {
             for &row in rows {
-                self.idb[j].store.remove_row(row);
+                self.fix.idb[j].store.remove_row(row);
             }
             stats.overdeleted += rows.len() as u64;
         }
@@ -557,48 +494,46 @@ impl DatalogRuntime {
     /// DRed phase two: for every over-deleted fact, a goal-directed
     /// join (head variables pre-bound) asks whether any rule body still
     /// fires over the post-deletion extents; survivors are revived.
-    /// Facts rescued only *through* a survivor are caught later by
-    /// propagation, with the revivals as deltas.
+    /// Returns the revived rows per IDB: facts rescued only *through* a
+    /// survivor are caught later by the round loop, with these rows as
+    /// deltas.
     fn rederive(
         &mut self,
         over: &[Vec<u32>],
-        revived_delta: &mut [Vec<u32>],
         budget: &Budget,
         stats: &mut PollStats,
-    ) -> BudgetResult<()> {
+    ) -> BudgetResult<Vec<Vec<u32>>> {
         let mut span = fmt_obs::trace_span!(
             "datalog.incr.rederive",
             candidates = over.iter().map(Vec::len).sum::<usize>()
         );
+        let mut revived_delta: Vec<Vec<u32>> = vec![Vec::new(); over.len()];
         let mut tuple = Vec::new();
         for (j, rows) in over.iter().enumerate() {
             for &row in rows {
-                self.idb[j].store.read_row_into(row, &mut tuple);
-                let t = std::mem::take(&mut tuple);
-                if self.derivable(j, &t, budget)? {
-                    let revived = self.idb[j]
+                self.fix.idb[j].store.read_row_into(row, &mut tuple);
+                if self.derivable(j, &tuple, budget)? {
+                    let revived = self.fix.idb[j]
                         .store
-                        .push_if_new(&t)
+                        .push_if_new(&tuple)
                         .expect("over-deleted rows are dead, so re-insertion revives");
                     debug_assert_eq!(revived, row, "revival returns the tombstoned row id");
                     revived_delta[j].push(revived);
                     stats.rederived += 1;
                 }
-                tuple = t;
             }
         }
         OBS_REDERIVED.add(stats.rederived);
         span.record_field("rederived", stats.rederived);
-        Ok(())
+        Ok(revived_delta)
     }
 
     /// `true` iff some rule with head `idb` derives `t` from the
     /// current live extents (the remaining-support test of DRed).
     fn derivable(&mut self, idb: usize, t: &[Elem], budget: &Budget) -> BudgetResult<bool> {
-        for ri_i in 0..self.rules_by_head[idb].len() {
-            let ri = self.rules_by_head[idb][ri_i];
-            let pi = self.plan_for(PlanKey::Goal { rule: ri });
-            let rule = &self.program.rules()[ri];
+        for &ri in &self.rules_by_head[idb] {
+            let pi = self.fix.plan(PlanKey::Goal { rule: ri });
+            let rule = &self.fix.program.rules()[ri];
             let mut binding = vec![None; rule_num_vars(rule)];
             let mut consistent = true;
             for (&v, &e) in rule.head.args.iter().zip(t.iter()) {
@@ -616,6 +551,7 @@ impl DatalogRuntime {
             // The first witness suffices: stopping the join is the
             // only way `run` reports `false`.
             if !self
+                .fix
                 .kernel(ri, pi, &[])
                 .run(&mut binding, budget, &mut |_| false)?
             {
@@ -623,153 +559,6 @@ impl DatalogRuntime {
             }
         }
         Ok(false)
-    }
-
-    /// Semi-naive propagation of the delta-rewritten program: every
-    /// `(rule, delta position)` with a nonempty delta becomes a job
-    /// (EDB deltas drive the first round only), jobs fan out across
-    /// worker threads, and emissions merge deterministically in job
-    /// order. New and revived rows form the next round's deltas.
-    fn propagate(
-        &mut self,
-        mut edb_delta: Vec<Vec<u32>>,
-        mut idb_delta: Vec<Vec<u32>>,
-        budget: &Budget,
-        stats: &mut PollStats,
-    ) -> BudgetResult<()> {
-        let k = self.idb.len();
-        while edb_delta.iter().any(|d| !d.is_empty()) || idb_delta.iter().any(|d| !d.is_empty()) {
-            stats.rounds += 1;
-            OBS_ROUNDS.incr();
-            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
-            if jobs.is_empty() {
-                break;
-            }
-
-            // Split each job's delta into contiguous chunks so big
-            // rounds spread across workers; results still merge in
-            // item order, so any thread count computes the same store.
-            let driver = |&(ri, pos, _): &(usize, usize, usize)| {
-                delta_of(
-                    &edb_delta,
-                    &idb_delta,
-                    self.program.rules()[ri].body[pos].pred,
-                )
-            };
-            let total: usize = jobs.iter().map(|job| driver(job).len()).sum();
-            let nchunks = if self.threads == 1 || total < 512 {
-                1
-            } else {
-                self.threads
-            };
-            let mut items: Vec<(usize, &[u32])> = Vec::new();
-            for (ji, job) in jobs.iter().enumerate() {
-                let delta = driver(job);
-                let chunk = delta.len().div_ceil(nchunks).max(1);
-                items.extend(delta.chunks(chunk).map(|c| (ji, c)));
-            }
-
-            let span = fmt_obs::trace_span!("datalog.incr.round", jobs = jobs.len());
-            let this = &*self;
-            let results = fan_out(self.threads, &items, |chunk| {
-                let mut staged = Staged::new(k);
-                for &(ji, driver) in chunk {
-                    let (ri, _, pi) = jobs[ji];
-                    this.kernel(ri, pi, driver)
-                        .stage(budget, &mut staged, |_| true)?;
-                }
-                Ok(staged)
-            });
-            drop(span);
-
-            for d in &mut edb_delta {
-                d.clear();
-            }
-            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); k];
-            for chunk_result in results {
-                stats.derived +=
-                    chunk_result?.drain_into(&mut self.idb, |j, row| next_delta[j].push(row));
-            }
-            for r in &mut self.idb {
-                r.extend_indexes();
-            }
-            OBS_DERIVED.add(next_delta.iter().map(|d| d.len() as u64).sum());
-            idb_delta = next_delta;
-        }
-        Ok(())
-    }
-
-    /// One job per `(rule, body position)` whose predicate has a
-    /// nonempty delta, as `(rule, pos, plan)`.
-    fn delta_jobs(
-        &mut self,
-        edb_delta: &[Vec<u32>],
-        idb_delta: &[Vec<u32>],
-    ) -> Vec<(usize, usize, usize)> {
-        let mut jobs: Vec<(usize, usize)> = Vec::new();
-        for (ri, rule) in self.program.rules().iter().enumerate() {
-            for (pos, atom) in rule.body.iter().enumerate() {
-                if !delta_of(edb_delta, idb_delta, atom.pred).is_empty() {
-                    jobs.push((ri, pos));
-                }
-            }
-        }
-        jobs.into_iter()
-            .map(|(rule, pos)| (rule, pos, self.plan_for(PlanKey::Driver { rule, pos })))
-            .collect()
-    }
-
-    /// Plan-cache lookup through the batch engine's planner, planning on
-    /// first sight; either way every index the plan probes is built or
-    /// caught up.
-    fn plan_for(&mut self, key: PlanKey) -> usize {
-        let (ri, driver) = match key {
-            PlanKey::Driver { rule, pos } => (rule, Some(pos)),
-            PlanKey::Init { rule } | PlanKey::Goal { rule } => (rule, None),
-        };
-        let rule = &self.program.rules()[ri];
-        let pi = match self.plan_of.get(&key) {
-            Some(&pi) => pi,
-            None => {
-                let mut pre_bound = vec![false; rule_num_vars(rule)];
-                if matches!(key, PlanKey::Goal { .. }) {
-                    for &v in &rule.head.args {
-                        pre_bound[v as usize] = true;
-                    }
-                }
-                let (edb, idb) = (&self.edb, &self.idb);
-                let plan = plan_rule(rule, driver, &pre_bound, &|a| {
-                    extent(edb, idb, a.pred).len()
-                });
-                self.plans.push(plan);
-                self.plan_of.insert(key, self.plans.len() - 1);
-                self.plans.len() - 1
-            }
-        };
-        ensure_plan_indexes(&self.plans[pi], rule, &mut self.edb, &mut self.idb);
-        pi
-    }
-
-    /// The join kernel for rule `ri` under cached plan `pi`, driven by
-    /// `driver` rows.
-    fn kernel<'a>(&'a self, ri: usize, pi: usize, driver: &'a [u32]) -> ExecCtx<'a> {
-        ExecCtx::new(
-            &self.program.rules()[ri],
-            &self.plans[pi],
-            &self.edb,
-            &self.idb,
-            driver,
-            self.domain,
-            AT,
-        )
-    }
-}
-
-/// The delta row ids of `pred`.
-fn delta_of<'d>(edb_delta: &'d [Vec<u32>], idb_delta: &'d [Vec<u32>], pred: Pred) -> &'d [u32] {
-    match pred {
-        Pred::Edb(r) => &edb_delta[r.0],
-        Pred::Idb(j) => &idb_delta[j],
     }
 }
 

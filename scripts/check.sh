@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo-wide checks: formatting, lints, and the tier-1 build + test gate.
+# Repo-wide checks: formatting, lints, the tier-1 build + test gate, and
+# every test in the workspace.
 # Run from anywhere; everything executes at the workspace root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,6 +33,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace tests: cargo test --workspace --no-fail-fast -q"
+cargo test --workspace --no-fail-fast -q
 
 echo "==> lint gate: corpus and clean fixtures must pass --deny warnings"
 cargo build --release -q -p fmt-cli
